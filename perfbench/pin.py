@@ -30,8 +30,8 @@ def output(op):
 
 
 def pin():
-    table = {"seeds": SEEDS, "series": {}, "series_checks": {}, "corpus": {}, "compute": {}}
-    for workload in ("series", "corpus", "compute"):
+    table = {"seeds": SEEDS, "series": {}, "series_checks": {}, "corpus": {}}
+    for workload in ("series", "corpus"):
         checker = workloads.Checker(workload, table)  # sees the table as it fills
         for seed in SEEDS if workload != "series" else [0]:
             for op in workloads.build(workload, seed):

@@ -11,9 +11,10 @@ made in this process with standard output captured, one after another.
 for ``--seconds`` seconds (at least three).  Timings use each operation's
 fastest latency over the passes: other tenants of the host slow all code by
 up to 1.65x in episodes of 10-30 s, and the best of several passes is far
-steadier than their median (see README.md).  ``--trace 1`` alternates
-untraced and traced passes and reports the per-layer metrics of
-``tracing.PER_LAYER`` plus the tracing overhead.  Every operation's output
+steadier than their median (see README.md).  Set-up time is probed in
+fresh processes between the passes, so its median spans the whole run.
+``--trace 1`` alternates untraced and traced passes and reports the
+per-layer metrics of ``tracing.PER_LAYER`` plus the tracing overhead.  Every operation's output
 is checked (see ``workloads.Checker``); a traced operation must print
 exactly what the untraced one printed.
 
@@ -40,7 +41,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 
-SETUP_PROBES = 7          # timed fresh-process set-ups; the median is setup_s
+PROBES_PER_GAP = 2        # fresh-process set-ups timed after the warm-up and each pass
 MIN_PASSES = 3            # measured passes per untraced run, whatever --seconds says
 MIN_TRACED_PASSES = 2     # of each kind in a traced run, so counts can be compared
 OP_TIME_LIMIT_S = 60.0    # an operation running longer fails as timed out
@@ -49,7 +50,7 @@ RUN_DEADLINE_S = 160.0    # no operation starts after this; runs must end within
 
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True, choices=("series", "corpus", "compute"))
+    parser.add_argument("--workload", required=True, choices=("series", "corpus"))
     parser.add_argument("--seed", type=int, default=None,
                         help="workload seed (default 20260809)")
     parser.add_argument("--seconds", type=float, default=40.0, help="measurement time")
@@ -188,11 +189,12 @@ def percentile(values, q: int) -> float:
     return statistics.quantiles(values, n=100, method="inclusive")[q - 1]
 
 
-def keep_going(passes: int, minimum: int, started: float, seconds: float,
+def keep_going(passes: int, minimum: int, measured: float, seconds: float,
                deadline: float, last_pass: float) -> bool:
+    """Whether to run another pass, given ``measured`` seconds of passes so far."""
     if time.monotonic() + 1.5 * last_pass > deadline:
         return False
-    return passes < minimum or time.perf_counter() - started < seconds
+    return passes < minimum or measured < seconds
 
 
 def best_latencies(passes) -> list:
@@ -200,27 +202,32 @@ def best_latencies(passes) -> list:
     return [min(r[0] for r in op_results) for op_results in zip(*passes)]
 
 
-def measure_untraced(cli, ops, judge, seconds, deadline) -> dict:
+def measure_untraced(cli, ops, judge, seconds, deadline, probe) -> dict:
+    """End-to-end metrics; ``probe()`` times one fresh-process set-up."""
     wall, results = run_pass(cli, ops, deadline)  # warm-up, checked but not timed
     judge.judge(ops, results)
+    setup = [probe() for _ in range(PROBES_PER_GAP)]
     walls, passes = [], []
-    started = time.perf_counter()
-    while keep_going(len(walls), MIN_PASSES, started, seconds, deadline, wall):
+    while keep_going(len(walls), MIN_PASSES, sum(walls), seconds, deadline, wall):
         wall, results = run_pass(cli, ops, deadline)
         judge.judge(ops, results)
         walls.append(wall)
         passes.append(results)
+        setup += [probe() for _ in range(PROBES_PER_GAP)]
     if len(walls) < 2:
         judge.fail_run("fewer than two measured passes before the deadline")
         return {}
     best = best_latencies(passes)
     return {
+        "setup_s": statistics.median(setup),
         "wall_s": sum(best),
         "ops_per_s": len(best) / sum(best),
         "op_p50_ms": 1000 * statistics.median(best),
         "op_p90_ms": 1000 * percentile(best, 90),
         "passes": len(walls),
+        "setup_probes": len(setup),
         "pass_median_s": statistics.median(walls),
+        "pooled_p90_ms": 1000 * percentile([r[0] for p in passes for r in p], 90),
     }
 
 
@@ -230,10 +237,11 @@ def measure_traced(cli, ops, judge, seconds, deadline) -> dict:
     wall, results = run_pass(cli, ops, deadline)  # warm-up, untraced
     judge.judge(ops, results)
     plain, traced, snapshots = [], [], []
-    started = time.perf_counter()
-    while keep_going(min(len(plain), len(traced)), MIN_TRACED_PASSES, started, seconds,
+    measured = 0.0
+    while keep_going(min(len(plain), len(traced)), MIN_TRACED_PASSES, measured, seconds,
                      deadline, 2 * wall):
         wall, results = run_pass(cli, ops, deadline)
+        measured += wall
         judge.judge(ops, results)
         plain.append(results)
         tracer.install()
@@ -243,6 +251,7 @@ def measure_traced(cli, ops, judge, seconds, deadline) -> dict:
             snap = tracer.snapshot()
         finally:
             tracer.uninstall()
+        measured += wall
         snap["cli.output_bytes"] = sum(len(r[2].encode()) for r in results)
         judge.judge(ops, results, traced=True)
         traced.append(results)
@@ -276,10 +285,8 @@ def main(argv=None) -> int:
     import workloads
     seed = workloads.DEFAULT_SEED if args.seed is None else args.seed
 
-    setup = []
     if not args.trace:
         probe_setup(args.workload, seed)  # fills the bytecode caches; not counted
-        setup = [probe_setup(args.workload, seed) for _ in range(SETUP_PROBES)]
 
     ops = workloads.build(args.workload, seed)
     checker = workloads.Checker(args.workload, workloads.load_pinned())
@@ -290,8 +297,8 @@ def main(argv=None) -> int:
         measured = measure_traced(cli, ops, judge, args.seconds, deadline)
         wanted = specs["per_layer"]
     else:
-        measured = measure_untraced(cli, ops, judge, args.seconds, deadline)
-        measured["setup_s"] = statistics.median(setup)
+        measured = measure_untraced(cli, ops, judge, args.seconds, deadline,
+                                    lambda: probe_setup(args.workload, seed))
         measured["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         wanted = specs["end_to_end"]
 
@@ -305,9 +312,12 @@ def main(argv=None) -> int:
             continue
         metrics[spec["name"]] = {"value": value, "unit": spec["unit"]}
         print(f"  {spec['name']:<32s} {value:>14.6g} {spec['unit']}")
-    if not args.trace:
-        print(f"  latencies are each operation's best of {measured.get('passes', 0)} passes "
-              f"({len(ops)} samples); median pass took {measured.get('pass_median_s', 0):.4g} s")
+    if "setup_probes" in measured:
+        print(f"  latencies are each operation's best of {measured['passes']} passes "
+              f"({len(ops)} samples); median pass took {measured['pass_median_s']:.4g} s; "
+              f"p90 pooled over all {measured['passes'] * len(ops)} latencies "
+              f"{measured['pooled_p90_ms']:.4g} ms; setup_s is the median of "
+              f"{measured['setup_probes']} probes")
     print(f"  {'error_rate':<32s} {judge.failed / max(1, judge.attempted):>14.6g} "
           f"failed/attempted ({judge.failed}/{judge.attempted})")
     if checker.unpinned:

@@ -42,21 +42,21 @@ _RHS = ("zeta_rhs", "m_triangle_rhs", "ehrhart_rhs", "laplace_rhs")
 # layer-to-metric map: which end-to-end metric on which workload a change
 # to that layer should move.
 PER_LAYER = [
-    ("algebra.self_s", "s", "layer", "algebra", "series, compute wall_s"),
-    ("algebra.mul_calls", "count", "calls", ("algebra", _MUL), "series, compute wall_s"),
-    ("algebra.mul_term_pairs", "count", "counter", None, "series, compute wall_s"),
-    ("algebra.mul_s", "s", "self", ("algebra", _MUL), "series, compute wall_s; barely corpus"),
-    ("algebra.subs_s", "s", "self", ("algebra", ("MultiPoly.subs",)), "series, compute wall_s"),
+    ("algebra.self_s", "s", "layer", "algebra", "series wall_s"),
+    ("algebra.mul_calls", "count", "calls", ("algebra", _MUL), "series wall_s"),
+    ("algebra.mul_term_pairs", "count", "counter", None, "series wall_s"),
+    ("algebra.mul_s", "s", "self", ("algebra", _MUL), "series wall_s; barely corpus"),
+    ("algebra.subs_s", "s", "self", ("algebra", ("MultiPoly.subs",)), "series wall_s"),
     ("algebra.exact_div_s", "s", "self", ("algebra", ("MultiPoly.exact_div",)),
-     "series, compute wall_s"),
+     "series wall_s"),
     ("algebra.series_expand_s", "s", "self",
      ("algebra", ("series_expand_rational", "series_pow_symbolic")), "series wall_s"),
     ("algebra.lagrange_s", "s", "self", ("algebra", ("lagrange_interpolate",)), "corpus wall_s"),
     ("algebra.lagrange_calls", "count", "calls", ("algebra", ("lagrange_interpolate",)),
      "corpus wall_s"),
-    ("algebra.laurent_s", "s", "self", ("algebra", ("laplace_laurent",)), "compute wall_s"),
-    ("invariants.self_s", "s", "layer", "invariants", "series, compute, corpus wall_s"),
-    *[(f"invariants.{f}_{suffix}", unit, kind, ("invariants", (f,)), "series, compute wall_s")
+    ("algebra.laurent_s", "s", "self", ("algebra", ("laplace_laurent",)), "corpus wall_s"),
+    ("invariants.self_s", "s", "layer", "invariants", "series, corpus wall_s"),
+    *[(f"invariants.{f}_{suffix}", unit, kind, ("invariants", (f,)), "series wall_s")
       for f in ("zeta_poly", "k_poly", "m_triangle", "laplace", "volume")
       for suffix, unit, kind in (("s", "s", "self"), ("calls", "count", "calls"))],
     ("invariants.ehrhart_s", "s", "self", ("invariants", ("ehrhart",)),
@@ -78,11 +78,11 @@ PER_LAYER = [
     ("oracle.m_triangle_oracle_s", "s", "self", ("oracle", ("m_triangle_oracle",)),
      "corpus wall_s"),
     ("oracle.k_oracle_s", "s", "self", ("oracle", ("k_oracle",)), "corpus wall_s"),
-    ("arbor.self_s", "s", "layer", "arbor", "compute wall_s"),
-    ("arbor.parse_s", "s", "self", ("arbor", ("parse_arbor",)), "compute wall_s"),
-    ("arbor.serialize_s", "s", "self", ("arbor", ("serialize_arbor",)), "compute wall_s"),
+    ("arbor.self_s", "s", "layer", "arbor", "corpus wall_s"),
+    ("arbor.parse_s", "s", "self", ("arbor", ("parse_arbor",)), "corpus wall_s"),
+    ("arbor.serialize_s", "s", "self", ("arbor", ("serialize_arbor",)), "corpus wall_s"),
     ("arbor.subtree_labels_calls", "count", "calls", ("arbor", ("Arbor.subtree_labels",)),
-     "compute wall_s"),
+     "series, corpus wall_s"),
     ("verify.self_s", "s", "layer", "verify", "series wall_s"),
     ("verify.rhs_s", "s", "self", ("verify", _RHS), "series wall_s"),
     ("verify.report_add_s", "s", "self", ("verify", ("Report.add",)), "series wall_s"),
@@ -90,8 +90,8 @@ PER_LAYER = [
     ("crosscheck.self_s", "s", "layer", "crosscheck", "corpus wall_s"),
     ("crosscheck.checks", "count", "counter", None, "corpus wall_s"),
     ("crosscheck.spot_path_arbors", "count", "counter", None, "corpus wall_s"),
-    ("cli.self_s", "s", "layer", "cli", "compute wall_s"),
-    ("cli.output_bytes", "bytes", "counter", None, "compute wall_s"),
+    ("cli.self_s", "s", "layer", "cli", "series, corpus wall_s"),
+    ("cli.output_bytes", "bytes", "counter", None, "series, corpus wall_s"),
     ("trace.overhead", "ratio", "counter", None, "none: traced over untraced wall_s"),
 ]
 
