@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import islice
 
 
 class ArborError(ValueError):
@@ -62,12 +63,24 @@ class Arbor:
             acc |= self.subtree_labels(child)
         return frozenset(acc)
 
-    def subtree_size(self, vid: int) -> int:
-        return len(self.subtree_labels(vid))
+    def fold(self, step):
+        """Bottom-up over every sub-tree, without recursion: calls
+        step(labels, size, child_values) once per vertex, children first, with
+        the vertex's own labels, its sub-tree size and its children's results
+        in stored child order.  Returns the root's result."""
+        order = [self.root]
+        for vid in order:
+            order.extend(self.children[vid])
+        sizes, values = {}, {}
+        for vid in reversed(order):
+            kids = self.children[vid]
+            sizes[vid] = len(self.vertices[vid]) + sum(sizes[c] for c in kids)
+            values[vid] = step(self.vertices[vid], sizes[vid], [values.pop(c) for c in kids])
+        return values[self.root]
 
     def canonical(self) -> str:
         if self._canonical is None:
-            self._canonical = _serialize_vertex(self, self.root)
+            self._canonical = self.fold(_serialize_step)[1]
         return self._canonical
 
     def __eq__(self, other):
@@ -96,9 +109,12 @@ def _validate(root, vertices, children):
                 raise ArborError(f"duplicate label {lab}")
             seen_labels.add(lab)
     n = max(seen_labels)
-    missing = set(range(1, n + 1)) - seen_labels
-    if missing:
-        raise ArborError(f"labels do not cover 1..{n}: missing {sorted(missing)}")
+    if len(seen_labels) < n:
+        # Name only the first few gaps, so a huge label costs neither time nor memory.
+        missing = list(islice((lab for lab in range(1, n + 1) if lab not in seen_labels), 10))
+        more = n - len(seen_labels) - len(missing)
+        raise ArborError(f"labels do not cover 1..{n}: missing {missing}"
+                         + (f" and {more} more" if more else ""))
 
     reached = set()
     stack = [root]
@@ -144,15 +160,13 @@ class _Parser:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             self.error("expected an integer label")
         return int(self.text[start:self.pos])
 
-    def node(self, seen: set, counter: list, vertices: dict, children: dict) -> int:
-        vid = counter[0]
-        counter[0] += 1
+    def label_set(self, seen: set) -> set:
         self.expect("{")
         labels = set()
         while True:
@@ -167,42 +181,48 @@ class _Parser:
             else:
                 break
         self.expect("}")
-        vertices[vid] = labels
-        kids = []
-        if self.peek() == "(":
+        return labels
+
+    def arbor(self):
+        """Vertices and children, numbered in pre-order from the root 0; open
+        child lists sit on a stack, so depth is not bounded by recursion."""
+        seen, vertices, children, open_lists = set(), {}, {}, []
+        while True:
+            vid = len(vertices)
+            vertices[vid] = self.label_set(seen)
+            children[vid] = []
+            if open_lists:
+                open_lists[-1].append(vid)
+            if self.peek() == "(":
+                self.pos += 1
+                open_lists.append(children[vid])
+                continue
+            while open_lists and self.peek() != ",":
+                self.expect(")")
+                open_lists.pop()
+            if not open_lists:
+                return vertices, children
             self.pos += 1
-            while True:
-                kids.append(self.node(seen, counter, vertices, children))
-                if self.peek() == ",":
-                    self.pos += 1
-                else:
-                    break
-            self.expect(")")
-        children[vid] = kids
-        return vid
 
 
 def parse_arbor(text: str) -> Arbor:
     """Parse arbor text; validates labels as a partition of {1..max label}."""
     parser = _Parser(text)
-    vertices: dict = {}
-    children: dict = {}
-    root = parser.node(set(), [0], vertices, children)
+    vertices, children = parser.arbor()
     parser.skip_ws()
     if parser.pos != len(text):
         parser.error("trailing input after arbor")
-    return Arbor(root, vertices, children)
+    return Arbor(0, vertices, children)
 
 
 # -- serialization -----------------------------------------------------------
 
-def _serialize_vertex(t: Arbor, vid: int) -> str:
-    labels = ",".join(str(lab) for lab in sorted(t.vertices[vid]))
-    kids = sorted(t.children[vid], key=lambda c: min(t.vertices[c]))
-    if not kids:
-        return "{%s}" % labels
-    inner = ",".join(_serialize_vertex(t, c) for c in kids)
-    return "{%s}(%s)" % (labels, inner)
+def _serialize_step(labels, size, kids):
+    """Fold step of Arbor.canonical: (smallest own label, canonical text)."""
+    text = "{%s}" % ",".join(str(lab) for lab in sorted(labels))
+    if kids:
+        text += "(%s)" % ",".join(kid for _, kid in sorted(kids))
+    return min(labels), text
 
 
 def serialize_arbor(t: Arbor) -> str:

@@ -1,7 +1,9 @@
 """Recursions and closed forms for the arbor invariants.
 
-Each invariant is computed bottom-up over sub-trees, re-reading the
-sub-tree size n and root cardinality r at every level:
+zeta_poly, k_poly and laplace are steps of one bottom-up Arbor.fold, which
+visits each sub-tree once, children first, and hands the step the root's
+labels (r of them), the sub-tree size n and the children's results;
+m_triangle and volume are read off k_poly and laplace:
 
 * zeta_poly       height-weighted zeta polynomial Z(u, X)
 * k_poly          nonzero-coordinate/height census K(X, Y)
@@ -17,7 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import factorial
+from operator import mul
 
 from .algebra import (
     VARIABLES,
@@ -48,26 +52,22 @@ def zeta_poly(t: Arbor) -> MultiPoly:
     sum over l of binom_poly(r(u-1)+l-1, l) * W_{j-l}, where l runs from
     max(0, j-n+r) to j, n is the sub-tree size and r its root cardinality.
     """
+    return t.fold(_zeta_step)
 
-    def rec(vid) -> MultiPoly:
-        w = MultiPoly.const(1)
-        for child in t.children[vid]:
-            w = w * rec(child)
-        n = t.subtree_size(vid)
-        r = len(t.vertices[vid])
-        w_coeffs = w.coeffs_in("X")
-        out = MultiPoly.zero()
-        for j in range(n + 1):
-            cj = MultiPoly.zero()
-            for l in range(max(0, j - n + r), j + 1):
-                wc = w_coeffs.get(j - l)
-                if wc is None:
-                    continue
-                cj = cj + binom_poly(r * (_U - 1) + l - 1, l) * wc
-            out = out + cj * _X ** j
-        return out
 
-    return rec(t.root)
+def _zeta_step(labels, n, kids) -> MultiPoly:
+    r = len(labels)
+    w_coeffs = reduce(mul, kids, MultiPoly.const(1)).coeffs_in("X")
+    out = MultiPoly.zero()
+    for j in range(n + 1):
+        cj = MultiPoly.zero()
+        for l in range(max(0, j - n + r), j + 1):
+            wc = w_coeffs.get(j - l)
+            if wc is None:
+                continue
+            cj = cj + binom_poly(r * (_U - 1) + l - 1, l) * wc
+        out = out + cj * _X ** j
+    return out
 
 
 def zeta_tn_closed(n: int) -> MultiPoly:
@@ -92,31 +92,27 @@ def k_poly(t: Arbor) -> MultiPoly:
     (int_binom(-1, 0) = 1, zero for negative lower argument) make the empty
     product reproduce the single-vertex census.
     """
+    return t.fold(_k_step)
 
-    def rec(vid) -> MultiPoly:
-        w = MultiPoly.const(1)
-        for child in t.children[vid]:
-            w = w * rec(child)
-        n = t.subtree_size(vid)
-        r = len(t.vertices[vid])
-        w_coeffs = {}
-        for ei, cx in w.coeffs_in("X").items():
-            for ej, c in cx.coeffs_in("Y").items():
-                w_coeffs[(ei, ej)] = c.constant_value()
-        out = MultiPoly.zero()
-        for j in range(n + 1):
-            for k in range(j, n + 1):
-                acc = Fraction(0)
-                for l in range(max(0, j - n + r), min(j, r) + 1):
-                    for m in range(max(l, k - n + r), k + l - j + 1):
-                        wc = w_coeffs.get((j - l, k - m))
-                        if wc:
-                            acc += int_binom(r, l) * int_binom(m - 1, m - l) * wc
-                if acc:
-                    out = out + acc * _X ** j * _Y ** k
-        return out
 
-    return rec(t.root)
+def _k_step(labels, n, kids) -> MultiPoly:
+    r = len(labels)
+    w_coeffs = {}
+    for ei, cx in reduce(mul, kids, MultiPoly.const(1)).coeffs_in("X").items():
+        for ej, c in cx.coeffs_in("Y").items():
+            w_coeffs[(ei, ej)] = c.constant_value()
+    out = MultiPoly.zero()
+    for j in range(n + 1):
+        for k in range(j, n + 1):
+            acc = Fraction(0)
+            for l in range(max(0, j - n + r), min(j, r) + 1):
+                for m in range(max(l, k - n + r), k + l - j + 1):
+                    wc = w_coeffs.get((j - l, k - m))
+                    if wc:
+                        acc += int_binom(r, l) * int_binom(m - 1, m - l) * wc
+            if acc:
+                out = out + acc * _X ** j * _Y ** k
+    return out
 
 
 def k_tn_closed(n: int) -> MultiPoly:
@@ -217,22 +213,16 @@ def truncate_laplace(p: MultiPoly, n: int) -> MultiPoly:
 def laplace(t: Arbor) -> MultiPoly:
     """Laplace transform of the volume function, encoded in E = e^-v, V = 1/v.
 
-    A size-1 arbor gives V - V*E; otherwise the children's transforms are
-    multiplied together with the truncated V^r and the product is truncated
-    again, both times at the current sub-tree size.
+    One rule at every vertex, with n the sub-tree size and r the root's
+    cardinality: truncate_laplace(truncate_laplace(V^r, n) * (product of the
+    children's transforms), n).  A one-label leaf thus gives V - E*V.
     """
+    return t.fold(_laplace_step)
 
-    def rec(vid) -> MultiPoly:
-        n = t.subtree_size(vid)
-        r = len(t.vertices[vid])
-        if n == 1:
-            return _V - _V * _E
-        prod = truncate_laplace(_V ** r, n)
-        for child in t.children[vid]:
-            prod = prod * rec(child)
-        return truncate_laplace(prod, n)
 
-    return rec(t.root)
+def _laplace_step(labels, n, kids) -> MultiPoly:
+    prod = reduce(mul, kids, truncate_laplace(_V ** len(labels), n))
+    return truncate_laplace(prod, n)
 
 
 def laplace_tn_closed(n: int) -> MultiPoly:
@@ -259,9 +249,6 @@ def laplace_series(t: Arbor, order: int) -> LaurentSeries:
 
 # -- bundle ----------------------------------------------------------------------
 
-INVARIANT_NAMES = ("zeta", "k", "m", "ehrhart", "laplace", "volume")
-
-
 @dataclass
 class InvariantBundle:
     """Requested invariants of one arbor; unrequested fields stay None."""
@@ -275,23 +262,18 @@ class InvariantBundle:
     volume: Fraction | None = None
 
 
+_INVARIANTS = {"zeta": zeta_poly, "k": k_poly, "m": m_triangle,
+               "ehrhart": ehrhart, "laplace": laplace, "volume": volume}
+
+INVARIANT_NAMES = tuple(_INVARIANTS)
+
+
 def compute_invariants(t: Arbor, names=INVARIANT_NAMES) -> InvariantBundle:
     bundle = InvariantBundle(arbor=t)
     for name in names:
-        if name not in INVARIANT_NAMES:
+        if name not in _INVARIANTS:
             raise ValueError(f"unknown invariant {name!r}")
-        if name == "zeta":
-            bundle.zeta = zeta_poly(t)
-        elif name == "k":
-            bundle.k = k_poly(t)
-        elif name == "m":
-            bundle.m = m_triangle(t)
-        elif name == "ehrhart":
-            bundle.ehrhart = ehrhart(t)
-        elif name == "laplace":
-            bundle.laplace = laplace(t)
-        elif name == "volume":
-            bundle.volume = volume(t)
+        setattr(bundle, name, _INVARIANTS[name](t))
     return bundle
 
 

@@ -16,10 +16,6 @@ import numpy as np
 from .algebra import MultiPoly, lagrange_interpolate
 from .arbor import Arbor, constraints
 
-# Posets above this size use int64 matrix-vector products for multichain
-# counting, but only when the counting bound provably fits in int64.
-_MATVEC_LIMIT = 600
-
 
 def _budget_tables(t: Arbor, u: int):
     cons = constraints(t)
@@ -99,9 +95,6 @@ class Poset:
     def below(self, b: int) -> list:
         return [int(a) for a in np.nonzero(self.leq[:, b])[0]]
 
-    def above(self, a: int) -> list:
-        return [int(b) for b in np.nonzero(self.leq[a, :])[0]]
-
 
 def build_poset(t: Arbor) -> Poset:
     points = enumerate_points(t, 1)
@@ -123,13 +116,14 @@ def multichain_weight_counts(P: Poset, m: int) -> dict:
 
     Returns {height h: number of multichains e_1 <= ... <= e_{m-1} whose top
     element has height h}.  Counting applies the zeta matrix m-2 times to the
-    all-ones vector; counts are exact Python integers unless the int64 bound
-    |P|^(m-1) provably fits, in which case numpy may be used.
+    all-ones vector.  Every count is at most |P|^(m-1), so int64 numpy
+    products are exact whenever that bound is below 2^62; otherwise the
+    counts are Python integers.
     """
     if m < 2:
         raise ValueError("multichains need m >= 2")
     applications = m - 2
-    if P.size > _MATVEC_LIMIT and P.size ** (m - 1) < 2 ** 62:
+    if P.size ** (m - 1) < 2 ** 62:
         vec = np.ones(P.size, dtype=np.int64)
         zmat = P.leq.astype(np.int64)
         for _ in range(applications):

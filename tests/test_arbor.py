@@ -1,6 +1,7 @@
 """Grammar, validation, constraints, and the seeded corpus."""
 
 import random
+import time
 
 import pytest
 
@@ -46,6 +47,8 @@ def test_parse_whitespace_insensitive():
     ("{1}(", "expected"),
     ("{1} x", "trailing"),
     ("{0,1}", "positive"),
+    ("{²}", "integer label (at position 1)"),
+    ("{١}", "integer label (at position 1)"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ArborError) as err:
@@ -57,6 +60,39 @@ def test_parse_error_reports_position():
     with pytest.raises(ArborError) as err:
         parse_arbor("{1}({2},{2})")
     assert err.value.position == 9
+
+
+def test_missing_labels_fail_fast_with_a_short_message():
+    start = time.perf_counter()
+    with pytest.raises(ArborError) as err:
+        parse_arbor("{3000000}")
+    assert time.perf_counter() - start < 0.5
+    assert str(err.value) == ("labels do not cover 1..3000000: "
+                              "missing [1, 2, 3, 4, 5, 6, 7, 8, 9, 10] and 2999989 more")
+    with pytest.raises(ArborError) as err:
+        parse_arbor("{1}({4})")
+    assert str(err.value) == "labels do not cover 1..4: missing [2, 3]"
+
+
+def test_deep_path_roundtrip():
+    depth = 2000
+    text = "".join("{%d}(" % i for i in range(1, depth)) + "{%d}" % depth + ")" * (depth - 1)
+    t = parse_arbor(text)
+    assert t.size == depth
+    assert serialize_arbor(t) == text
+    assert parse_arbor(serialize_arbor(t)) == t
+
+
+def test_fold_children_first_in_stored_order():
+    t = Arbor(0, {0: {1}, 1: {4, 5}, 2: {2}, 3: {3}}, {0: [1, 2], 1: [3]})
+    got = t.fold(lambda labels, size, kids: (sorted(labels), size, kids))
+    assert got == ([1], 5, [([4, 5], 3, [([3], 1, [])]), ([2], 1, [])])
+
+
+def test_fold_has_no_depth_limit():
+    n = 10 ** 5
+    path = Arbor(0, {i: {i + 1} for i in range(n)}, {i: [i + 1] for i in range(n - 1)})
+    assert path.fold(lambda labels, size, kids: size) == n
 
 
 def test_make_tn():

@@ -1,5 +1,6 @@
 """Command-line interface: golden outputs, exit codes, JSON round-trips."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -57,6 +58,21 @@ def test_compute_json_roundtrip(capsys):
     assert poly_from_terms(inv["laplace"]["terms"]) == laplace(t3)
     assert poly_from_terms(inv["m"]["terms"]) == m_triangle(t3)
     assert Fraction(inv["volume"]["value"]) == Fraction(2)
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (("compute", "--arbor", "{1,2}({3}({6,7},{8}),{4,5})",
+      "--invariant", "zeta,k,m,laplace,volume", "--format", "json"),
+     "ad8d31b665f37472688410e2bd4d211200873028059af2d6275acc5926ee8d70"),
+    (("compute", "--tn", "6", "--format", "json"),
+     "bf9437536764702218d65b340e926f5af1d7032af3115340b54c712cf1ccb751"),
+    (("compute", "--tn", "6"),
+     "40ca4ee7d46edb71be3bf0773c98effb7603c1dc8dccbbb555bce3266e9931ea"),
+], ids=["figure-json", "t6-json", "t6-text"])
+def test_compute_output_bytes_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_compute_parse_error_exit_code(capsys):

@@ -95,6 +95,20 @@ def test_multichain_counts_basics():
         multichain_weight_counts(P, 1)
 
 
+def test_multichain_counts_on_both_sides_of_the_int64_bound():
+    # |P| = 5: int64 counting up to m = 27 (5^26 < 2^62), Python ints from m = 28.
+    P = build_poset(make_tn(2))
+    below = [[a for a in range(P.size) if P.leq[a, b]] for b in range(P.size)]
+    totals = [1] * P.size
+    for m in range(2, 31):
+        expected: dict = {}
+        for b, c in enumerate(totals):
+            expected[P.heights[b]] = expected.get(P.heights[b], 0) + c
+        got = multichain_weight_counts(P, m)
+        assert got == expected and all(type(c) is int for c in got.values()), m
+        totals = [sum(totals[a] for a in below[b]) for b in range(P.size)]
+
+
 def test_multichain_totals_monotone():
     P = build_poset(parse_arbor("{1,2}({3})"))
     totals = [sum(multichain_weight_counts(P, m).values()) for m in range(2, 8)]
