@@ -49,6 +49,7 @@ from .invariants import (
     laplace,
     laplace_series,
     laplace_tn_closed,
+    m_from_k,
     m_triangle,
     m_tn_closed,
     truncate_laplace,

@@ -18,7 +18,7 @@ _ZERO_EXP = (0,) * _NVARS
 
 
 class ExactDivisionError(ArithmeticError):
-    """Division left a remainder, or a substitution did not clear its denominators."""
+    """Division left a remainder, or a result would need a negative exponent."""
 
 
 class InterpolationError(ValueError):
@@ -226,61 +226,19 @@ class MultiPoly:
         return quotient
 
     def subs(self, mapping) -> "MultiPoly":
-        """Simultaneous substitution of variables.
-
-        Images may be polynomials, exact rationals, or (num, den) pairs with
-        a monomial denominator, e.g. {"X": (X - 1, X)} for X -> 1 - 1/X.
-        All denominators must cancel in the result; otherwise
-        ExactDivisionError is raised.
-        """
-        images = {}
-        for name, img in mapping.items():
-            i = _VAR_INDEX[name]
-            if isinstance(img, tuple):
-                num, den = img
-                num = self._coerce(num) if not isinstance(num, MultiPoly) else num
-                den = MultiPoly.const(den) if isinstance(den, (int, Fraction)) else den
-                if len(den.terms) != 1:
-                    raise ValueError("substitution denominator must be a monomial")
-                (d_exps, d_coeff), = den.terms.items()
-                images[i] = (num * (Fraction(1) / d_coeff), d_exps)
-            else:
-                img = self._coerce(img) if not isinstance(img, MultiPoly) else img
-                images[i] = (img, _ZERO_EXP)
-
-        pieces = []  # (numerator poly, denominator exponent vector)
-        for exps, coeff in self.terms.items():
-            num = MultiPoly.const(coeff)
-            den = [0] * _NVARS
-            for i, e in enumerate(exps):
-                if not e:
-                    continue
-                if i in images:
-                    img_num, img_den = images[i]
-                    num = num * img_num ** e
-                    for j, de in enumerate(img_den):
-                        den[j] += de * e
-                else:
-                    num = num * MultiPoly.monomial(
-                        tuple(e if j == i else 0 for j in range(_NVARS)))
-            pieces.append((num, tuple(den)))
-
-        common = tuple(max(d[j] for _, d in pieces) if pieces else 0
-                       for j in range(_NVARS))
-        if not any(common):
-            total = MultiPoly.zero()
-            for num, _ in pieces:
-                total = total + num
-            return total
+        """Simultaneous substitution of variables by polynomials or exact rationals."""
+        images = {_VAR_INDEX[name]: self._coerce(img) for name, img in mapping.items()}
+        if any(img is None for img in images.values()):
+            raise TypeError("substitution images must be polynomials or exact rationals")
         total = MultiPoly.zero()
-        for num, den in pieces:
-            lift = tuple(c - d for c, d in zip(common, den))
-            total = total + num * MultiPoly.monomial(lift)
-        try:
-            return total.exact_div(MultiPoly.monomial(common))
-        except ExactDivisionError:
-            raise ExactDivisionError(
-                "substitution left uncancelled negative exponents") from None
+        for exps, coeff in self.terms.items():
+            kept = tuple(0 if i in images else e for i, e in enumerate(exps))
+            term = MultiPoly.monomial(kept, coeff)
+            for i, img in images.items():
+                if exps[i]:
+                    term = term * img ** exps[i]
+            total = total + term
+        return total
 
     # -- canonical text ----------------------------------------------------
 

@@ -164,7 +164,10 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             self.error("expected an integer label")
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # longer than Python's integer-string digit limit
+            raise ArborError("label has too many digits", start) from None
 
     def label_set(self, seen: set) -> set:
         self.expect("{")

@@ -58,7 +58,7 @@ def cross_check(t: Arbor) -> list:
     k = invariants.k_poly(t)
     out.append(_outcome(text, "k vs point census", k, oracle.k_oracle(t)))
 
-    m_tri = invariants.m_triangle(t)
+    m_tri = invariants.m_from_k(k)
     out.append(_outcome(text, "m vs moebius oracle", m_tri, oracle.m_triangle_oracle(P)))
     out.append(_outcome(text, "m at X=1", m_tri.subs({"X": 1}), MultiPoly.const(1)))
 

@@ -7,7 +7,7 @@ m_triangle and volume are read off k_poly and laplace:
 
 * zeta_poly       height-weighted zeta polynomial Z(u, X)
 * k_poly          nonzero-coordinate/height census K(X, Y)
-* m_triangle      Moebius triangle M(X, Y) = K(1 - 1/X, X*Y)
+* m_triangle      Moebius triangle M(X, Y) = K(1 - 1/X, X*Y), by m_from_k
 * ehrhart         lattice-point counting polynomial (enumeration + interpolation)
 * laplace         Laplace transform of the volume function, as a polynomial in E, V
 * volume          constant Laurent coefficient of the Laplace transform
@@ -25,6 +25,7 @@ from operator import mul
 
 from .algebra import (
     VARIABLES,
+    ExactDivisionError,
     LaurentSeries,
     MultiPoly,
     binom_poly,
@@ -125,12 +126,32 @@ def k_tn_closed(n: int) -> MultiPoly:
 
 
 def m_triangle(t: Arbor) -> MultiPoly:
-    """Moebius triangle via the substitution X -> 1 - 1/X, Y -> X*Y in k_poly.
+    """Moebius triangle M(X, Y) = K(1 - 1/X, X*Y), read off k_poly by m_from_k.
 
-    The substitution is Laurent in X; all negative powers must cancel, which
-    the substitution machinery asserts by an exact division.
+    Contract: every term X^j Y^h of K has h >= j (a point's height is at
+    least its number of nonzero coordinates), so no negative power of X is
+    left; a term that breaks it raises ExactDivisionError.
     """
-    return k_poly(t).subs({"X": (_X - 1, _X), "Y": _X * _Y})
+    return m_from_k(k_poly(t))
+
+
+def m_from_k(k: MultiPoly) -> MultiPoly:
+    """K(1 - 1/X, X*Y) term by term: c*X^j*Y^h becomes c*(X-1)^j*X^(h-j)*Y^h.
+
+    Expanding (X-1)^j binomially turns the term into the sum over i of
+    c*C(j, i)*(-1)^i*X^(h-i)*Y^h.  A term with h < j would need X^(h-j),
+    a negative power, and raises ExactDivisionError.
+    """
+    i_x, i_y = VARIABLES.index("X"), VARIABLES.index("Y")
+    terms: dict = {}
+    for exps, c in k.terms.items():
+        j, h = exps[i_x], exps[i_y]
+        if h < j:
+            raise ExactDivisionError(f"K term {c}*X^{j}*Y^{h} has height below its support")
+        for i in range(j + 1):
+            key = exps[:i_x] + (h - i,) + exps[i_x + 1:]
+            terms[key] = terms.get(key, 0) + (-1) ** i * int_binom(j, i) * c
+    return MultiPoly(terms)
 
 
 def m_tn_closed(n: int) -> MultiPoly:
@@ -288,6 +309,7 @@ __all__ = [
     "laplace",
     "laplace_series",
     "laplace_tn_closed",
+    "m_from_k",
     "m_triangle",
     "m_tn_closed",
     "make_tn",

@@ -92,9 +92,6 @@ class Poset:
         self.leq = leq
         self.size = len(elements)
 
-    def below(self, b: int) -> list:
-        return [int(a) for a in np.nonzero(self.leq[:, b])[0]]
-
 
 def build_poset(t: Arbor) -> Poset:
     points = enumerate_points(t, 1)
@@ -118,22 +115,16 @@ def multichain_weight_counts(P: Poset, m: int) -> dict:
     element has height h}.  Counting applies the zeta matrix m-2 times to the
     all-ones vector.  Every count is at most |P|^(m-1), so int64 numpy
     products are exact whenever that bound is below 2^62; otherwise the
-    counts are Python integers.
+    same products run on an object array of Python integers.
     """
     if m < 2:
         raise ValueError("multichains need m >= 2")
-    applications = m - 2
-    if P.size ** (m - 1) < 2 ** 62:
-        vec = np.ones(P.size, dtype=np.int64)
-        zmat = P.leq.astype(np.int64)
-        for _ in range(applications):
-            vec = vec @ zmat
-        totals = [int(x) for x in vec]
-    else:
-        below = [P.below(b) for b in range(P.size)]
-        totals = [1] * P.size
-        for _ in range(applications):
-            totals = [sum(totals[a] for a in below[b]) for b in range(P.size)]
+    dtype = np.int64 if P.size ** (m - 1) < 2 ** 62 else object
+    vec = np.ones(P.size, dtype=dtype)
+    zmat = P.leq.astype(np.int64).astype(dtype, copy=False)
+    for _ in range(m - 2):
+        vec = vec @ zmat
+    totals = vec.tolist()
     counts: dict = {}
     for b, c in enumerate(totals):
         counts[P.heights[b]] = counts.get(P.heights[b], 0) + c

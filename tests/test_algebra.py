@@ -21,6 +21,7 @@ from arborium.algebra import (
     series_expand_rational,
     series_pow_symbolic,
 )
+from arborium.invariants import m_from_k
 
 u, X, Y, E, V, s, v = gens()
 
@@ -73,15 +74,14 @@ def test_exact_div_failure():
         (1 + X).exact_div(MultiPoly.zero())
 
 
-def test_substitute_laurent_pair():
+def test_m_from_k_reads_terms():
     # X -> 1 - 1/X together with Y -> X*Y, applied to 1 + X*Y
-    result = (1 + X * Y).subs({"X": (X - 1, X), "Y": X * Y})
-    assert result == 1 + X * Y - Y
+    assert m_from_k(1 + X * Y) == 1 + X * Y - Y
 
 
-def test_substitute_uncancelled_negative_exponents():
+def test_m_from_k_rejects_height_below_support():
     with pytest.raises(ExactDivisionError):
-        (1 + X).subs({"X": (X - 1, X)})  # 2 - 1/X is not a polynomial
+        m_from_k(1 + X)  # 2 - 1/X is not a polynomial
 
 
 def test_substitute_and_eval():

@@ -49,6 +49,7 @@ def test_parse_whitespace_insensitive():
     ("{0,1}", "positive"),
     ("{²}", "integer label (at position 1)"),
     ("{١}", "integer label (at position 1)"),
+    pytest.param("{" + "1" * 5000 + "}", "too many digits (at position 1)", id="5000-digit"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ArborError) as err:
