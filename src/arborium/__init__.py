@@ -42,6 +42,7 @@ from .invariants import (
     InvariantBundle,
     compute_invariants,
     ehrhart,
+    ehrhart_heights,
     ehrhart_tn_alternating,
     ehrhart_tn_closed,
     k_poly,

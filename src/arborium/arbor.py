@@ -80,7 +80,7 @@ class Arbor:
 
     def canonical(self) -> str:
         if self._canonical is None:
-            self._canonical = self.fold(_serialize_step)[1]
+            self._canonical = _join_canonical(self.fold(_serialize_step))
         return self._canonical
 
     def __eq__(self, other):
@@ -221,11 +221,30 @@ def parse_arbor(text: str) -> Arbor:
 # -- serialization -----------------------------------------------------------
 
 def _serialize_step(labels, size, kids):
-    """Fold step of Arbor.canonical: (smallest own label, canonical text)."""
-    text = "{%s}" % ",".join(str(lab) for lab in sorted(labels))
-    if kids:
-        text += "(%s)" % ",".join(kid for _, kid in sorted(kids))
-    return min(labels), text
+    """Fold step of Arbor.canonical: (smallest own label, own label text,
+    children's results ordered by smallest own label).  No step copies
+    its children's text; _join_canonical writes it once at the root."""
+    return min(labels), "{%s}" % ",".join(str(lab) for lab in sorted(labels)), sorted(kids)
+
+
+def _join_canonical(node) -> str:
+    """Flatten the nested _serialize_step results into text, with an
+    explicit stack instead of recursion."""
+    pieces, stack = [], [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            pieces.append(item)
+            continue
+        _, text, kids = item
+        pieces.append(text)
+        if kids:
+            tail = [")"]
+            for kid in reversed(kids):
+                tail += [kid, ","]
+            tail[-1] = "("
+            stack.extend(tail)
+    return "".join(pieces)
 
 
 def serialize_arbor(t: Arbor) -> str:

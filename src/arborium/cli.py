@@ -30,10 +30,9 @@ def _default_order() -> int:
     if raw is None:
         return DEFAULT_ORDER
     try:
-        order = int(raw)
+        return int(raw)
     except ValueError:
-        raise SystemExit(f"ARBORIUM_ORDER must be an integer, got {raw!r}")
-    return order
+        raise ValueError(f"ARBORIUM_ORDER must be an integer, got {raw!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,7 +118,11 @@ def cmd_compute(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    order = args.order if args.order is not None else _default_order()
+    try:
+        order = args.order if args.order is not None else _default_order()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if order < 1:
         print("error: --order must be >= 1", file=sys.stderr)
         return 2
@@ -134,6 +137,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    if args.per_size < 1:
+        print("error: --per-size must be >= 1", file=sys.stderr)
+        return 2
     if args.arbor:
         try:
             outcomes = cross_check(parse_arbor(args.arbor))
@@ -141,7 +147,9 @@ def cmd_oracle_check(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     else:
-        print(f"corpus: seed={args.seed} per_size={args.per_size} sizes 1..6")
+        # In JSON mode the header goes to stderr, so stdout stays one JSON document.
+        print(f"corpus: seed={args.seed} per_size={args.per_size} sizes 1..6",
+              file=sys.stderr if args.format == "json" else sys.stdout)
         outcomes = corpus_check(args.seed, per_size=args.per_size)
     if args.format == "json":
         print(json.dumps([

@@ -15,8 +15,9 @@ from .algebra import MultiPoly
 from .arbor import Arbor, random_corpus, serialize_arbor
 from . import invariants, oracle
 
-# Above this poset size, skip full zeta interpolation and the (costly)
-# counting polynomial; use spot multichain evaluations instead.
+# Above this poset size, skip full zeta interpolation and the Ehrhart and
+# volume checks, whose count_points oracle at u <= 4 is costly; use spot
+# multichain evaluations instead.
 _SPOT_LIMIT = 1500
 
 _Y = MultiPoly.variable("Y")

@@ -1,14 +1,16 @@
 """Recursions and closed forms for the arbor invariants.
 
-zeta_poly, k_poly and laplace are steps of one bottom-up Arbor.fold, which
-visits each sub-tree once, children first, and hands the step the root's
-labels (r of them), the sub-tree size n and the children's results;
-m_triangle and volume are read off k_poly and laplace:
+zeta_poly, k_poly, ehrhart_heights and laplace are steps of one bottom-up
+Arbor.fold, which visits each sub-tree once, children first, and hands the
+step the root's labels (r of them), the sub-tree size n and the children's
+results; m_triangle, ehrhart and volume are read off k_poly,
+ehrhart_heights and laplace:
 
 * zeta_poly       height-weighted zeta polynomial Z(u, X)
 * k_poly          nonzero-coordinate/height census K(X, Y)
 * m_triangle      Moebius triangle M(X, Y) = K(1 - 1/X, X*Y), by m_from_k
-* ehrhart         lattice-point counting polynomial (enumeration + interpolation)
+* ehrhart_heights lattice points of the u-th dilate, counted by height
+* ehrhart         lattice-point counting polynomial, interpolated in u
 * laplace         Laplace transform of the volume function, as a polynomial in E, V
 * volume          constant Laurent coefficient of the Laplace transform
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import factorial
+from math import comb, factorial
 from operator import mul
 
 from .algebra import (
@@ -34,7 +36,6 @@ from .algebra import (
     laplace_laurent,
 )
 from .arbor import Arbor, make_tn
-from . import oracle
 
 _U = MultiPoly.variable("u")
 _X = MultiPoly.variable("X")
@@ -171,14 +172,40 @@ def m_tn_closed(n: int) -> MultiPoly:
 
 # -- Ehrhart ---------------------------------------------------------------------
 
+def ehrhart_heights(t: Arbor, u: int) -> list:
+    """Lattice points of the u-th dilate by height: entry s counts the points
+    whose coordinates sum to s.
+
+    Bottom-up: a vertex with r own labels and sub-tree size n starts from
+    the C(s+r-1, r-1) ways its own coordinates can sum to s, convolves in
+    each child's list and drops every height above u*n, which is the
+    vertex's own inequality.
+    """
+    if u < 0:
+        raise ValueError("dilation factor must be >= 0")
+    return t.fold(lambda labels, n, kids: _heights_step(len(labels), u * n, kids))
+
+
+def _heights_step(r, cap, kids) -> list:
+    g = [comb(s + r - 1, r - 1) for s in range(cap + 1)]
+    for kid in kids:
+        out = [0] * (cap + 1)
+        for i, a in enumerate(g):
+            for j, b in enumerate(kid[:cap + 1 - i], i):
+                out[j] += a * b
+        g = out
+    return g
+
+
 def ehrhart(t: Arbor) -> MultiPoly:
-    """Lattice-point counting polynomial, from exact counts at u = 0..n+1.
+    """Lattice-point counting polynomial, from the totals of ehrhart_heights
+    at u = 0..n+1.
 
     The first n+1 counts determine the degree-n polynomial; the count at
     u = n+1 is replayed as an over-determination check.
     """
     n = t.size
-    samples = [(u, oracle.count_points(t, u)) for u in range(n + 2)]
+    samples = [(u, sum(ehrhart_heights(t, u))) for u in range(n + 2)]
     return lagrange_interpolate(samples, degree=n, var="u")
 
 
@@ -302,6 +329,7 @@ __all__ = [
     "InvariantBundle",
     "compute_invariants",
     "ehrhart",
+    "ehrhart_heights",
     "ehrhart_tn_alternating",
     "ehrhart_tn_closed",
     "k_poly",

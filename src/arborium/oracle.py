@@ -157,7 +157,9 @@ def mobius_oracle(P: Poset) -> dict:
     For each bottom element a, the defining recursion
     mu(a, b) = -sum_{a <= e < b} mu(a, e) is replayed over the up-set of a
     in height order.  Zeros are never stored, which keeps the inner sums
-    proportional to the nonzero support of each row.
+    proportional to the nonzero support of each row.  m_triangle_oracle
+    does not use it; it is the reference that the tests compare the
+    triangular solve with.
     """
     heights = P.heights
     above = [set(np.nonzero(P.leq[a])[0].tolist()) for a in range(P.size)]
@@ -178,13 +180,25 @@ def mobius_oracle(P: Poset) -> dict:
 
 
 def m_triangle_oracle(P: Poset) -> MultiPoly:
-    """Direct sum of mu(a, b) * X^ht(a) * Y^ht(b) over comparable pairs."""
+    """Sum of mu(a, b) * X^ht(a) * Y^ht(b) over comparable pairs, as H^T Z^-1 H.
+
+    Z is the 0/1 zeta matrix P.leq, whose inverse is the Moebius matrix by
+    definition; lex order is a linear extension, so Z is upper unitriangular.
+    H[b, h] = [ht(b) = h].  Back-substitution solves Z V = H in int64,
+    V[a] = H[a] - Z[a, a+1:] @ V[a+1:].  If max|V| * |P| < 2^62 then Z V
+    fits int64 and agrees with H modulo 2^64, so it equals H and V is
+    exact (and so is H^T V); otherwise OverflowError is raised.
+    """
+    n, hmax = P.size, max(P.heights)
+    H = np.eye(hmax + 1, dtype=np.int64)[P.heights]
+    V = H.copy()
+    for a in range(n - 2, -1, -1):
+        V[a] -= P.leq[a, a + 1:] @ V[a + 1:]
+    if max(int(V.max()), -int(V.min())) * n >= 2 ** 62:
+        raise OverflowError(f"Moebius solve exceeds the int64 bound on |P| = {n}")
+    table = (H.T @ V).tolist()  # each entry sums at most |P| entries of V
     X = MultiPoly.variable("X")
     Y = MultiPoly.variable("Y")
-    hmax = max(P.heights)
-    table = [[0] * (hmax + 1) for _ in range(hmax + 1)]
-    for (a, b), val in mobius_oracle(P).items():
-        table[P.heights[a]][P.heights[b]] += val
     result = MultiPoly.zero()
     for ha, row in enumerate(table):
         for hb, val in enumerate(row):

@@ -76,7 +76,7 @@ def test_missing_labels_fail_fast_with_a_short_message():
 
 
 def test_deep_path_roundtrip():
-    depth = 2000
+    depth = 200_000
     text = "".join("{%d}(" % i for i in range(1, depth)) + "{%d}" % depth + ")" * (depth - 1)
     t = parse_arbor(text)
     assert t.size == depth

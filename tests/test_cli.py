@@ -124,6 +124,22 @@ def test_verify_env_var_order(capsys, monkeypatch):
     assert json.loads(out)[0]["order"] == 2
 
 
+def test_verify_bad_env_order_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("ARBORIUM_ORDER", "abc")
+    code, out, err = run(capsys, "verify", "--theorem", "zeta")
+    assert code == 2
+    assert out == ""
+    assert "ARBORIUM_ORDER must be an integer, got 'abc'" in err
+
+
+@pytest.mark.parametrize("per_size", ["0", "-1"])
+def test_oracle_check_per_size_below_one_is_usage_error(capsys, per_size):
+    code, out, err = run(capsys, "oracle-check", "--per-size", per_size)
+    assert code == 2
+    assert out == ""
+    assert "--per-size must be >= 1" in err
+
+
 def test_oracle_check_single_arbor(capsys):
     code, out, _ = run(capsys, "oracle-check", "--arbor", "{1}({2})")
     assert code == 0
@@ -135,6 +151,15 @@ def test_oracle_check_corpus_small(capsys):
     assert code == 0
     assert "corpus: seed=3" in out
     assert "FAIL" not in out
+
+
+def test_oracle_check_corpus_json_parses(capsys):
+    code, out, err = run(capsys, "oracle-check", "--seed", "3", "--per-size", "1",
+                         "--format", "json")
+    assert code == 0
+    entries = json.loads(out)
+    assert entries and all(e["passed"] for e in entries)
+    assert "corpus: seed=3" in err
 
 
 def test_oracle_check_json(capsys):

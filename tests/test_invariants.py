@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 
 from arborium.algebra import MultiPoly, binom_poly, gens, laplace_laurent
-from arborium.arbor import Arbor, make_tn, parse_arbor, random_arbor, serialize_arbor
+from arborium.arbor import (
+    Arbor, make_tn, parse_arbor, random_arbor, random_corpus, serialize_arbor)
 from arborium.invariants import (
     compute_invariants,
     ehrhart,
+    ehrhart_heights,
     ehrhart_tn_alternating,
     ehrhart_tn_closed,
     k_poly,
@@ -146,6 +148,33 @@ def test_ehrhart_structure():
     assert e.degree("u") == t.size
     assert e.subs({"u": 0}).constant_value() == 1
     assert e.subs({"u": 1}).constant_value() == oracle.build_poset(t).size
+
+
+def test_ehrhart_heights_match_height_distribution():
+    for t in random_corpus(20260809, sizes=range(1, 6), per_size=4):
+        for dil in range(1, 4):
+            by_height = oracle.height_distribution_oracle(t, dil)
+            got = ehrhart_heights(t, dil)
+            assert len(got) == dil * t.size + 1
+            for h, c in enumerate(got):
+                assert c == by_height.coefficient("X", h).constant_value(), \
+                    (serialize_arbor(t), dil, h)
+
+
+def test_ehrhart_heights_total_is_count():
+    for t in random_corpus(20260809, sizes=range(1, 6), per_size=4):
+        for dil in range(4):
+            assert sum(ehrhart_heights(t, dil)) == oracle.count_points(t, dil), \
+                (serialize_arbor(t), dil)
+    with pytest.raises(ValueError):
+        ehrhart_heights(make_tn(1), -1)
+
+
+def test_ehrhart_figure_arbor_leading_coefficient_and_size():
+    t = parse_arbor("{1,2}({3}({6,7},{8}),{4,5})")
+    e = ehrhart(t)
+    assert e.coefficient("u", 8).constant_value() == volume(t) == Fraction(5993, 90)
+    assert e.subs({"u": 1}).constant_value() == 3464
 
 
 def test_ehrhart_leading_coefficient_is_volume():

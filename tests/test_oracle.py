@@ -2,11 +2,13 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from arborium.algebra import MultiPoly, gens
 from arborium.arbor import make_tn, parse_arbor, random_corpus
 from arborium.oracle import (
+    Poset,
     build_poset,
     count_points,
     enumerate_points,
@@ -83,6 +85,42 @@ def test_m_triangle_oracle_small():
     assert m_triangle_oracle(build_poset(make_tn(1))) == 1 - Y + X * Y
     m2 = m_triangle_oracle(build_poset(make_tn(2)))
     assert m2.subs({"X": 1}) == 1
+
+
+def _binned_mobius_sum(P):
+    # sum of mu(a, b) X^ht(a) Y^ht(b), straight from the sparse Moebius table
+    total = MultiPoly.zero()
+    for (a, b), val in mobius_oracle(P).items():
+        total = total + val * X ** P.heights[a] * Y ** P.heights[b]
+    return total
+
+
+def test_m_triangle_solve_matches_mobius_table():
+    arbors = random_corpus(20260809, sizes=range(1, 6), per_size=4)
+    arbors += [make_tn(n) for n in range(1, 7)]
+    for t in arbors:
+        P = build_poset(t)
+        assert m_triangle_oracle(P) == _binned_mobius_sum(P), t
+
+
+def _layered_poset(layers):
+    # bottom < three-element antichain < ... < three-element antichain < top,
+    # with mu(bottom, top) = -(-2)^layers; index order is a linear extension
+    heights = [0] + [h for h in range(1, layers + 1) for _ in range(3)] + [layers + 1]
+    hs = np.array(heights)
+    leq = (hs[:, None] < hs[None, :]) | np.eye(len(heights), dtype=bool)
+    return Poset(list(range(len(heights))), heights, leq)
+
+
+def test_m_triangle_solve_is_exact_or_raises_overflow():
+    P = _layered_poset(20)
+    m = m_triangle_oracle(P)
+    assert m == _binned_mobius_sum(P)
+    assert m.coefficient("X", 0).coefficient("Y", 21).constant_value() == -(2 ** 20)
+    # |mu(bottom, top)| * |P| reaches 2^62 from 61 layers; 70 layers wrap int64
+    for layers in (61, 70):
+        with pytest.raises(OverflowError):
+            m_triangle_oracle(_layered_poset(layers))
 
 
 def test_multichain_counts_basics():
