@@ -58,9 +58,11 @@ class Arbor:
 
     def subtree_labels(self, vid: int) -> frozenset:
         """Labels of the vertex plus all of its descendants."""
-        acc = set(self.vertices[vid])
-        for child in self.children[vid]:
-            acc |= self.subtree_labels(child)
+        acc, stack = set(), [vid]
+        while stack:
+            v = stack.pop()
+            acc |= self.vertices[v]
+            stack.extend(self.children[v])
         return frozenset(acc)
 
     def fold(self, step):
@@ -267,16 +269,15 @@ def make_tn(n: int) -> Arbor:
 
 
 def constraints(t: Arbor) -> list:
-    """One Constraint per vertex, in root-first depth-first order."""
-    out = []
-
-    def walk(vid):
+    """One Constraint per vertex, in root-first depth-first order with
+    children by smallest label.  An explicit stack keeps deep arbors clear
+    of the recursion limit."""
+    out, stack = [], [t.root]
+    while stack:
+        vid = stack.pop()
         support = t.subtree_labels(vid)
         out.append(Constraint(support, len(support)))
-        for child in sorted(t.children[vid], key=lambda c: min(t.vertices[c])):
-            walk(child)
-
-    walk(t.root)
+        stack.extend(sorted(t.children[vid], key=lambda c: min(t.vertices[c]), reverse=True))
     return out
 
 

@@ -5,6 +5,12 @@ brute-force counterpart, together with the linking identities between
 invariants.  For posets too large for full multichain interpolation the
 zeta comparison falls back to spot evaluations at small integer arguments,
 which keeps the check honest without the interpolation sweep.
+
+The oracles hold the point poset and its zeta matrix in memory, which is
+quadratic in |P|, so cross_check refuses an arbor with more than
+_MAX_POINTS points with an ArborError before any oracle work.  Every 0/1
+vector is a point, so 2^n > _MAX_POINTS rules an arbor out at once;
+otherwise |P| is read off the Ehrhart recursion at u = 1.
 """
 
 from __future__ import annotations
@@ -12,13 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import MultiPoly
-from .arbor import Arbor, random_corpus, serialize_arbor
+from .arbor import Arbor, ArborError, random_corpus, serialize_arbor
 from . import invariants, oracle
 
 # Above this poset size, skip full zeta interpolation and the Ehrhart and
 # volume checks, whose count_points oracle at u <= 4 is costly; use spot
 # multichain evaluations instead.
 _SPOT_LIMIT = 1500
+
+# Largest |P| the oracles accept: its int64 zeta matrix takes 8 |P|^2 bytes
+# (512 MiB at the limit).  t_11 (7168 points) fits; t_12 (15360) does not.
+_MAX_POINTS = 8192
 
 _Y = MultiPoly.variable("Y")
 
@@ -38,7 +48,15 @@ def _outcome(text, name, lhs, rhs) -> CheckOutcome:
 
 
 def cross_check(t: Arbor) -> list:
-    """All recursion/oracle agreements and cross identities for one arbor."""
+    """All recursion/oracle agreements and cross identities for one arbor.
+
+    Raises ArborError if the arbor has more than _MAX_POINTS points."""
+    if 2 ** t.size > _MAX_POINTS:
+        raise ArborError(f"arbor of size {t.size} has at least 2^{t.size} points; "
+                         f"oracle checks stop at {_MAX_POINTS}")
+    points = sum(invariants.ehrhart_heights(t, 1))
+    if points > _MAX_POINTS:
+        raise ArborError(f"arbor has {points} points; oracle checks stop at {_MAX_POINTS}")
     text = serialize_arbor(t)
     out = []
     P = oracle.build_poset(t)

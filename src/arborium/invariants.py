@@ -1,9 +1,13 @@
 """Recursions and closed forms for the arbor invariants.
 
-zeta_poly, k_poly, ehrhart_heights and laplace are steps of one bottom-up
-Arbor.fold, which visits each sub-tree once, children first, and hands the
-step the root's labels (r of them), the sub-tree size n and the children's
-results; m_triangle, ehrhart and volume are read off k_poly,
+Every recursion is one bottom-up Arbor.fold with one rule per vertex: own
+factor times children, cut at height n.  The own factor weighs the vertex's
+r own coordinates, the children's results are multiplied in, and the
+vertex's inequality (coordinates of the sub-tree sum to at most its size n)
+cuts the result.  zeta_poly, k_poly and ehrhart_heights keep a list indexed
+by height, so they share the step _cut_product and differ only in the own
+list; laplace cuts with truncate_laplace, which also adds boundary
+corrections.  m_triangle, ehrhart and volume are read off k_poly,
 ehrhart_heights and laplace:
 
 * zeta_poly       height-weighted zeta polynomial Z(u, X)
@@ -44,32 +48,41 @@ _E = MultiPoly.variable("E")
 _V = MultiPoly.variable("V")
 
 
+# -- the height-graded fold step -----------------------------------------------
+
+def _cut_product(own, kids) -> list:
+    """Fold step shared by zeta_poly, k_poly and ehrhart_heights.
+
+    Every list is indexed by height.  own[h] weighs the vertex's own
+    coordinates summing to h; each child's list is convolved in, and every
+    height above len(own) - 1, the vertex's inequality, is cut.
+    """
+    cap = len(own) - 1
+    g = own
+    for kid in kids:
+        out = [0] * (cap + 1)
+        for i, a in enumerate(g):
+            for j, b in enumerate(kid[:cap + 1 - i], i):
+                out[j] += a * b
+        g = out
+    return g
+
+
 # -- zeta ---------------------------------------------------------------------
 
 def zeta_poly(t: Arbor) -> MultiPoly:
     """Height-weighted zeta polynomial Z(u, X) of the point poset.
 
-    Bottom-up: with W(X) the product of the children's polynomials
-    (empty product 1), the X^j coefficient of the current level is
-    sum over l of binom_poly(r(u-1)+l-1, l) * W_{j-l}, where l runs from
-    max(0, j-n+r) to j, n is the sub-tree size and r its root cardinality.
+    Own factor times children, cut at height n: r own coordinates reach
+    height h in binom_poly(r(u-1)+h-1, h) weighted ways; the root's list
+    c_h gives Z = sum of c_h X^h.
     """
-    return t.fold(_zeta_step)
+    return sum((c * _X ** h for h, c in enumerate(t.fold(_zeta_step))), MultiPoly.zero())
 
 
-def _zeta_step(labels, n, kids) -> MultiPoly:
-    r = len(labels)
-    w_coeffs = reduce(mul, kids, MultiPoly.const(1)).coeffs_in("X")
-    out = MultiPoly.zero()
-    for j in range(n + 1):
-        cj = MultiPoly.zero()
-        for l in range(max(0, j - n + r), j + 1):
-            wc = w_coeffs.get(j - l)
-            if wc is None:
-                continue
-            cj = cj + binom_poly(r * (_U - 1) + l - 1, l) * wc
-        out = out + cj * _X ** j
-    return out
+def _zeta_step(labels, n, kids) -> list:
+    base = len(labels) * (_U - 1) - 1
+    return _cut_product([binom_poly(base + h, h) for h in range(n + 1)], kids)
 
 
 def zeta_tn_closed(n: int) -> MultiPoly:
@@ -89,32 +102,19 @@ def zeta_tn_closed(n: int) -> MultiPoly:
 def k_poly(t: Arbor) -> MultiPoly:
     """Census K(X, Y) of lattice points by nonzero coordinates and height.
 
-    Bottom-up over sub-trees; the X^j Y^k coefficient combines the children's
-    product W(X, Y) through a double binomial sum whose conventions
-    (int_binom(-1, 0) = 1, zero for negative lower argument) make the empty
-    product reproduce the single-vertex census.
+    Own factor times children, cut at height n: r own coordinates reach
+    height h with l of them nonzero in C(r, l) C(h-1, h-l) ways, weighted
+    X^l; the root's list c_h gives K = sum of c_h Y^h.
     """
-    return t.fold(_k_step)
+    return sum((c * _Y ** h for h, c in enumerate(t.fold(_k_step))), MultiPoly.zero())
 
 
-def _k_step(labels, n, kids) -> MultiPoly:
+def _k_step(labels, n, kids) -> list:
     r = len(labels)
-    w_coeffs = {}
-    for ei, cx in reduce(mul, kids, MultiPoly.const(1)).coeffs_in("X").items():
-        for ej, c in cx.coeffs_in("Y").items():
-            w_coeffs[(ei, ej)] = c.constant_value()
-    out = MultiPoly.zero()
-    for j in range(n + 1):
-        for k in range(j, n + 1):
-            acc = Fraction(0)
-            for l in range(max(0, j - n + r), min(j, r) + 1):
-                for m in range(max(l, k - n + r), k + l - j + 1):
-                    wc = w_coeffs.get((j - l, k - m))
-                    if wc:
-                        acc += int_binom(r, l) * int_binom(m - 1, m - l) * wc
-            if acc:
-                out = out + acc * _X ** j * _Y ** k
-    return out
+    own = [sum((int_binom(r, l) * int_binom(h - 1, h - l) * _X ** l
+                for l in range(min(h, r) + 1)), MultiPoly.zero())
+           for h in range(n + 1)]
+    return _cut_product(own, kids)
 
 
 def k_tn_closed(n: int) -> MultiPoly:
@@ -176,25 +176,13 @@ def ehrhart_heights(t: Arbor, u: int) -> list:
     """Lattice points of the u-th dilate by height: entry s counts the points
     whose coordinates sum to s.
 
-    Bottom-up: a vertex with r own labels and sub-tree size n starts from
-    the C(s+r-1, r-1) ways its own coordinates can sum to s, convolves in
-    each child's list and drops every height above u*n, which is the
-    vertex's own inequality.
+    Own factor times children, cut at height u*n: r own coordinates sum to
+    s in C(s+r-1, r-1) ways.
     """
     if u < 0:
         raise ValueError("dilation factor must be >= 0")
-    return t.fold(lambda labels, n, kids: _heights_step(len(labels), u * n, kids))
-
-
-def _heights_step(r, cap, kids) -> list:
-    g = [comb(s + r - 1, r - 1) for s in range(cap + 1)]
-    for kid in kids:
-        out = [0] * (cap + 1)
-        for i, a in enumerate(g):
-            for j, b in enumerate(kid[:cap + 1 - i], i):
-                out[j] += a * b
-        g = out
-    return g
+    return t.fold(lambda labels, n, kids: _cut_product(
+        [comb(s + len(labels) - 1, len(labels) - 1) for s in range(u * n + 1)], kids))
 
 
 def ehrhart(t: Arbor) -> MultiPoly:

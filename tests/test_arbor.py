@@ -120,8 +120,13 @@ def test_constraints_figure_arbor_verbatim():
         (frozenset({4, 5}), 2),
         (frozenset(range(1, 9)), 8),
     }
-    got = {(c.support, c.bound) for c in constraints(parse_arbor(FIGURE_ARBOR))}
+    cons = constraints(parse_arbor(FIGURE_ARBOR))
+    got = {(c.support, c.bound) for c in cons}
     assert got == expected
+    # Root first, depth first, children by smallest label.
+    assert [c.support for c in cons] == [
+        frozenset(range(1, 9)), frozenset({3, 6, 7, 8}), frozenset({6, 7}),
+        frozenset({8}), frozenset({4, 5})]
 
 
 def test_constraints_root_covers_everything():
@@ -139,6 +144,15 @@ def test_constraint_supports_are_laminar():
         for a in supports:
             for b in supports:
                 assert a <= b or b <= a or not (a & b)
+
+
+def test_constraints_deep_path():
+    n = 3000
+    path = Arbor(0, {i: {i + 1} for i in range(n)}, {i: [i + 1] for i in range(n - 1)})
+    cons = constraints(path)
+    assert len(cons) == n
+    assert [c.bound for c in cons] == list(range(n, 0, -1))
+    assert all(c.support == frozenset(range(n - c.bound + 1, n + 1)) for c in cons)
 
 
 def test_serialize_canonical_and_roundtrip():

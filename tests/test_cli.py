@@ -146,6 +146,22 @@ def test_oracle_check_single_arbor(capsys):
     assert out.startswith("pass")
 
 
+DEEP_PATH = "".join("{%d}(" % i for i in range(1, 1200)) + "{1200}" + ")" * 1199
+
+
+@pytest.mark.parametrize("text", [
+    DEEP_PATH,                                      # 2^1200 points at least
+    "{1}(" + ",".join("{%d}" % i for i in range(2, 13)) + ")",  # t_12: 15360 points
+    "{" + ",".join(str(i) for i in range(1, 13)) + "}",         # 2,704,156 points
+], ids=["path-1200", "t12", "one-vertex-12"])
+def test_oracle_check_too_many_points_is_usage_error(capsys, text):
+    code, out, err = run(capsys, "oracle-check", "--arbor", text)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "oracle checks stop at 8192" in err
+    assert "Traceback" not in err
+
+
 def test_oracle_check_corpus_small(capsys):
     code, out, _ = run(capsys, "oracle-check", "--seed", "3", "--per-size", "1")
     assert code == 0

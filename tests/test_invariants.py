@@ -281,8 +281,12 @@ def test_child_order_independence():
 
 def test_recursions_against_oracles_spot():
     rng = random.Random(5)
-    for _ in range(6):
-        t = random_arbor(rng.randint(1, 5), rng)
+    arbors = [random_arbor(rng.randint(1, 5), rng) for _ in range(6)]
+    # The height cut falls at every level of a path, and only on the own
+    # factor of a one-vertex arbor.
+    arbors.append(parse_arbor("{1}({2}({3}({4}({5}({6})))))"))
+    arbors.append(parse_arbor("{1,2,3,4,5}"))
+    for t in arbors:
         P = oracle.build_poset(t)
         assert zeta_poly(t) == oracle.zeta_oracle(t), serialize_arbor(t)
         assert k_poly(t) == oracle.k_oracle(t), serialize_arbor(t)
