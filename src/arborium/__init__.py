@@ -43,7 +43,6 @@ from .invariants import (
     compute_invariants,
     ehrhart,
     ehrhart_heights,
-    ehrhart_tn_alternating,
     ehrhart_tn_closed,
     k_poly,
     k_tn_closed,

@@ -1,20 +1,38 @@
 """Exact arithmetic kernel.
 
-Sparse multivariate polynomials over arbitrary-precision rationals in the
-fixed variable set (u, X, Y, E, V, s, v), truncated power series in s,
-Laurent expansions in v, symbolic-exponent binomials, and exact Lagrange
+Sparse multivariate polynomials over the rationals in the fixed variable
+set (u, X, Y, E, V, s, v), truncated power series in s, Laurent
+expansions in v, symbolic-exponent binomials, and exact Lagrange
 interpolation.  No floating point anywhere; equality is literal.
+
+A MultiPoly packs each monomial into one int key: the total degree in the
+top field, then one _FIELD_BITS-wide field per variable in VARIABLES
+order.  Adding keys multiplies monomials, and numeric key order is the
+graded-lex order of the canonical text (total degree first, ties by the
+exponent tuple).  Coefficients are integer numerators over one positive
+common denominator that shares no factor with all of them, so equal
+polynomials have equal representations.  Every total degree stays below
+DEGREE_LIMIT, which keeps each field in range; a product that would reach
+it raises OverflowError.
 """
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
+from operator import index
 
 VARIABLES = ("u", "X", "Y", "E", "V", "s", "v")
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 _NVARS = len(VARIABLES)
-_ZERO_EXP = (0,) * _NVARS
+
+_FIELD_BITS = 16
+_MASK = (1 << _FIELD_BITS) - 1
+_DEG_SHIFT = _FIELD_BITS * _NVARS
+_SHIFTS = tuple(_FIELD_BITS * (_NVARS - 1 - i) for i in range(_NVARS))
+DEGREE_LIMIT = 1 << _FIELD_BITS
+_KEY_LIMIT = DEGREE_LIMIT << _DEG_SHIFT  # smallest key of total degree DEGREE_LIMIT
 
 
 class ExactDivisionError(ArithmeticError):
@@ -33,49 +51,129 @@ def _frac(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
-def _term_key(exps):
-    # graded-lex: total degree first, ties by exponent tuple
-    return (sum(exps), exps)
+def _pack(exps) -> int:
+    """Key of the monomial with exponent tuple exps (one slot per variable)."""
+    exps = tuple(exps)
+    if len(exps) != _NVARS:
+        raise ValueError(f"expected {_NVARS} exponents, got {len(exps)}")
+    key = total = 0
+    for e in exps:
+        e = index(e)
+        if e < 0:
+            raise ValueError(f"negative exponent in {exps}")
+        key = (key << _FIELD_BITS) | e
+        total += e
+    if total >= DEGREE_LIMIT:
+        raise OverflowError(f"total degree {total} reaches the limit {DEGREE_LIMIT}")
+    return (total << _DEG_SHIFT) | key
+
+
+def _unpack(key: int) -> tuple:
+    return tuple((key >> shift) & _MASK for shift in _SHIFTS)
+
+
+def _new(nums: dict, den: int) -> "MultiPoly":
+    """Wrap numerators already in canonical form: nonzero, over den > 0, reduced."""
+    p = object.__new__(MultiPoly)
+    p._nums = nums
+    p._den = den
+    return p
+
+
+def _reduced(nums: dict, den: int) -> "MultiPoly":
+    """Canonical form of nums / den, for nonzero numerators and den > 0."""
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {k: c // g for k, c in nums.items()}
+            den //= g
+    return _new(nums, den)
+
+
+def _from_fractions(coeffs: dict) -> "MultiPoly":
+    """Canonical polynomial from {key: exact rational}, zero entries dropped."""
+    coeffs = {k: c for k, c in coeffs.items() if c}
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    return _reduced({k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}, den)
+
+
+class _TermItems(ItemsView):
+    def __iter__(self):
+        p = self._mapping._poly
+        den = p._den
+        for key, num in p._nums.items():
+            yield _unpack(key), Fraction(num, den)
+
+
+class _Terms(Mapping):
+    """Read-only view {exponent tuple: Fraction} of a polynomial's terms."""
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly):
+        self._poly = poly
+
+    def __len__(self):
+        return len(self._poly._nums)
+
+    def __iter__(self):
+        return map(_unpack, self._poly._nums)
+
+    def __getitem__(self, exps):
+        try:
+            key = _pack(exps)
+        except (TypeError, ValueError, OverflowError):
+            raise KeyError(exps) from None
+        return Fraction(self._poly._nums[key], self._poly._den)
+
+    def items(self):
+        return _TermItems(self)
 
 
 class MultiPoly:
-    """Sparse polynomial in u, X, Y, E, V, s, v with Fraction coefficients.
+    """Sparse polynomial in u, X, Y, E, V, s, v with rational coefficients.
 
-    Terms are stored as a map from exponent tuple (one slot per variable,
-    in VARIABLES order) to a nonzero Fraction.  Instances are treated as
+    Stored as {packed monomial key: integer numerator} over one common
+    denominator (see the module docstring); ``terms`` is a read-only
+    {exponent tuple: Fraction} view of the same terms.  Instances are
     immutable; every operation returns a new polynomial.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, terms=None):
-        t = {}
+        coeffs = {}
         if terms:
             for exps, coeff in terms.items():
                 c = _frac(coeff)
                 if c:
-                    t[tuple(exps)] = c
-        self.terms = t
+                    coeffs[_pack(exps)] = c
+        p = _from_fractions(coeffs)
+        self._nums = p._nums
+        self._den = p._den
+
+    terms = property(_Terms, doc="Read-only {exponent tuple: Fraction} view of the terms.")
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def zero(cls) -> "MultiPoly":
-        return cls()
+        return _new({}, 1)
 
     @classmethod
     def const(cls, value) -> "MultiPoly":
-        return cls({_ZERO_EXP: _frac(value)})
+        c = _frac(value)
+        return _new({0: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def variable(cls, name: str) -> "MultiPoly":
-        exps = [0] * _NVARS
-        exps[_VAR_INDEX[name]] = 1
-        return cls({tuple(exps): Fraction(1)})
+        return _new({(1 << _DEG_SHIFT) | (1 << _SHIFTS[_VAR_INDEX[name]]): 1}, 1)
 
     @classmethod
     def monomial(cls, exps, coeff=1) -> "MultiPoly":
-        return cls({tuple(exps): _frac(coeff)})
+        key = _pack(exps)
+        c = _frac(coeff)
+        return _new({key: c.numerator} if c else {}, c.denominator)
 
     # -- ring operations --------------------------------------------------
 
@@ -86,53 +184,101 @@ class MultiPoly:
             return MultiPoly.const(other)
         return None
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            acc = terms.get(exps, 0) + c
-            if acc:
-                terms[exps] = acc
+    def _scale(self, num: int, den: int) -> "MultiPoly":
+        """self * num/den for a reduced fraction with den > 0."""
+        nums = self._nums
+        if not num or not nums:
+            return _new({}, 1)
+        g = gcd(num, self._den)
+        num //= g
+        if den != 1:  # the numerators' content may cancel part of den
+            h = gcd(den, *nums.values())
+            if h != 1:
+                den //= h
+                nums = {k: c // h for k, c in nums.items()}
+        return _new({k: c * num for k, c in nums.items()}, den * (self._den // g))
+
+    def _add(self, other, sign: int):
+        """self + sign*other for other a MultiPoly, int or Fraction."""
+        if type(other) is not MultiPoly:
+            if isinstance(other, int):
+                if not other:
+                    return self
+                nums = dict(self._nums)
+                c = nums.get(0, 0) + sign * other * self._den
+                if c:
+                    nums[0] = c
+                else:
+                    del nums[0]
+                return _new(nums, self._den)
+            if isinstance(other, Fraction):
+                other = MultiPoly.const(other)
+            elif not isinstance(other, MultiPoly):
+                return NotImplemented
+        if not other._nums:
+            return self
+        if not self._nums:
+            return other if sign == 1 else -other
+        da, db = self._den, other._den
+        if da == db:
+            nums = dict(self._nums)
+            scale = sign
+        else:
+            den = lcm(da, db)
+            m = den // da
+            nums = {k: c * m for k, c in self._nums.items()}
+            scale = sign * (den // db)
+            da = den
+        get = nums.get
+        for k, c in other._nums.items():
+            c = get(k, 0) + c * scale
+            if c:
+                nums[k] = c
             else:
-                terms.pop(exps, None)
-        out = MultiPoly.zero()
-        out.terms = terms
-        return out
+                del nums[k]
+        return _reduced(nums, da)
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = MultiPoly.zero()
-        out.terms = {exps: -c for exps, c in self.terms.items()}
-        return out
+        return _new({k: -c for k, c in self._nums.items()}, self._den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._add(other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self)._add(other, 1)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                acc = terms.get(exps, 0) + c1 * c2
-                if acc:
-                    terms[exps] = acc
-                else:
-                    terms.pop(exps, None)
-        out = MultiPoly.zero()
-        out.terms = terms
-        return out
+        if type(other) is not MultiPoly:
+            if isinstance(other, int):
+                return self._scale(other, 1)
+            if isinstance(other, Fraction):
+                return self._scale(other.numerator, other.denominator)
+            if not isinstance(other, MultiPoly):
+                return NotImplemented
+        a, b = self._nums, other._nums
+        if not a or not b:
+            return _new({}, 1)
+        if max(a) + max(b) >= _KEY_LIMIT:
+            raise OverflowError(f"product degree reaches the limit {DEGREE_LIMIT}")
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) == 1:
+            (k1, c1), = a.items()
+            nums = {k1 + k2: c1 * c2 for k2, c2 in b.items()}
+        else:
+            nums = {}
+            get = nums.get
+            for k1, c1 in a.items():
+                for k2, c2 in b.items():
+                    k = k1 + k2
+                    nums[k] = get(k, 0) + c1 * c2
+            nums = {k: c for k, c in nums.items() if c}
+        return _reduced(nums, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -145,127 +291,194 @@ class MultiPoly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.terms == other.terms
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((frozenset(self._nums.items()), self._den))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     # -- structure --------------------------------------------------------
 
     def degree(self, var: str | None = None) -> int:
         """Total degree, or degree in one variable; 0 for the zero polynomial."""
-        if not self.terms:
+        if not self._nums:
             return 0
         if var is None:
-            return max(sum(e) for e in self.terms)
-        i = _VAR_INDEX[var]
-        return max(e[i] for e in self.terms)
+            return max(self._nums) >> _DEG_SHIFT
+        shift = _SHIFTS[_VAR_INDEX[var]]
+        return max((k >> shift) & _MASK for k in self._nums)
 
     def variables_used(self):
-        used = set()
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e:
-                    used.add(VARIABLES[i])
-        return used
+        present = 0
+        for key in self._nums:
+            present |= key
+        return {name for name, shift in zip(VARIABLES, _SHIFTS) if (present >> shift) & _MASK}
 
     def coeffs_in(self, var: str) -> dict:
         """Split into {exponent of var: polynomial free of var}."""
-        i = _VAR_INDEX[var]
+        shift = _SHIFTS[_VAR_INDEX[var]]
+        unit = (1 << _DEG_SHIFT) | (1 << shift)
         buckets: dict[int, dict] = {}
-        for exps, c in self.terms.items():
-            k = exps[i]
-            rest = exps[:i] + (0,) + exps[i + 1:]
-            buckets.setdefault(k, {})[rest] = c
-        return {k: MultiPoly(t) for k, t in buckets.items()}
+        for k, c in self._nums.items():
+            e = (k >> shift) & _MASK
+            buckets.setdefault(e, {})[k - e * unit] = c
+        return {e: _reduced(nums, self._den) for e, nums in buckets.items()}
 
     def coefficient(self, var: str, k: int) -> "MultiPoly":
         return self.coeffs_in(var).get(k, MultiPoly.zero())
 
     def constant_value(self) -> Fraction:
-        if not self.terms:
+        if not self._nums:
             return Fraction(0)
-        if len(self.terms) == 1 and _ZERO_EXP in self.terms:
-            return self.terms[_ZERO_EXP]
+        if len(self._nums) == 1 and 0 in self._nums:
+            return Fraction(self._nums[0], self._den)
         raise ValueError(f"polynomial is not constant: {self}")
 
     # -- division and substitution ----------------------------------------
 
-    def _leading(self):
-        exps = max(self.terms, key=_term_key)
-        return exps, self.terms[exps]
-
     def exact_div(self, divisor) -> "MultiPoly":
-        """Exact quotient self / divisor; raises ExactDivisionError on remainder."""
+        """Exact quotient self / divisor; raises ExactDivisionError on remainder.
+
+        Long division on the integer numerators: the remainder is rem / scale,
+        and each step multiplies it through by what the divisor's leading
+        coefficient leaves after cancelling with the remainder's.
+        """
         divisor = self._coerce(divisor)
         if divisor is None or divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        quotient = MultiPoly.zero()
-        remainder = self
-        d_exps, d_coeff = divisor._leading()
-        while not remainder.is_zero():
-            r_exps, r_coeff = remainder._leading()
-            q_exps = tuple(a - b for a, b in zip(r_exps, d_exps))
-            if any(e < 0 for e in q_exps):
-                raise ExactDivisionError(
-                    f"({self}) is not divisible by ({divisor})")
-            q_term = MultiPoly.monomial(q_exps, r_coeff / d_coeff)
-            quotient = quotient + q_term
-            remainder = remainder - q_term * divisor
-        return quotient
+        b = divisor._nums
+        if len(b) == 1 and 0 in b:  # a constant: scale by its inverse
+            num = b[0]
+            return self._scale(divisor._den * (-1 if num < 0 else 1), abs(num))
+        d_key = max(b)
+        lead = b[d_key]
+        d_exps = _unpack(d_key)
+        rem = dict(self._nums)
+        scale = 1
+        quotient: dict = {}
+        while rem:
+            r_key = max(rem)
+            r_coeff = rem[r_key]
+            if any(r < d for r, d in zip(_unpack(r_key), d_exps)):
+                raise ExactDivisionError(f"({self}) is not divisible by ({divisor})")
+            q_key = r_key - d_key
+            g = gcd(r_coeff, lead)
+            mult, q_num = lead // g, r_coeff // g
+            quotient[q_key] = Fraction(q_num, mult * scale)
+            if mult != 1:
+                rem = {k: c * mult for k, c in rem.items()}
+                scale *= mult
+            get = rem.get
+            for k, c in b.items():
+                k += q_key
+                c = get(k, 0) - q_num * c
+                if c:
+                    rem[k] = c
+                else:
+                    del rem[k]
+        q = _from_fractions(quotient)
+        return q._scale(divisor._den, 1)._scale(1, self._den) if q._nums else q
 
     def subs(self, mapping) -> "MultiPoly":
         """Simultaneous substitution of variables by polynomials or exact rationals."""
-        images = {_VAR_INDEX[name]: self._coerce(img) for name, img in mapping.items()}
-        if any(img is None for img in images.values()):
-            raise TypeError("substitution images must be polynomials or exact rationals")
-        total = MultiPoly.zero()
-        for exps, coeff in self.terms.items():
-            kept = tuple(0 if i in images else e for i, e in enumerate(exps))
-            term = MultiPoly.monomial(kept, coeff)
-            for i, img in images.items():
-                if exps[i]:
-                    term = term * img ** exps[i]
-            total = total + term
-        return total
+        numbers, polys = {}, {}
+        for name, img in mapping.items():
+            i = _VAR_INDEX[name]
+            if isinstance(img, (int, Fraction)):
+                numbers[i] = Fraction(img)
+            elif isinstance(img, MultiPoly):
+                polys[i] = img
+            else:
+                raise TypeError("substitution images must be polynomials or exact rationals")
+        p = self._subs_numbers(numbers) if numbers else self
+        if not polys:
+            return p
+        powers = {i: [MultiPoly.const(1)] for i in polys}
+        parts = []
+        for key, num in p._nums.items():
+            factors = []
+            for i, img in polys.items():
+                shift = _SHIFTS[i]
+                e = (key >> shift) & _MASK
+                if e:
+                    key -= e * ((1 << _DEG_SHIFT) | (1 << shift))
+                    cache = powers[i]
+                    while len(cache) <= e:
+                        cache.append(cache[-1] * img)
+                    factors.append(cache[e])
+            term = _new({key: num}, 1)
+            for factor in factors:
+                term = term * factor
+            parts.append(term)
+        return sum(parts, MultiPoly.zero())._scale(1, p._den)
+
+    def _subs_numbers(self, values: dict) -> "MultiPoly":
+        """Substitute exact rationals {variable index: value}, on the packed keys.
+
+        A value p/q at exponent e contributes p^e * q^(top - e) to the
+        numerator, with top the variable's largest exponent, and q^top to
+        the common denominator.
+        """
+        den = self._den
+        tables = []
+        for i, value in values.items():
+            shift = _SHIFTS[i]
+            top = self.degree(VARIABLES[i])
+            p, q = value.numerator, value.denominator
+            factors = [p ** e * q ** (top - e) for e in range(top + 1)]
+            tables.append((shift, (1 << _DEG_SHIFT) | (1 << shift), factors))
+            den *= q ** top
+        nums: dict = {}
+        get = nums.get
+        for key, c in self._nums.items():
+            for shift, unit, factors in tables:
+                e = (key >> shift) & _MASK
+                if e:
+                    key -= e * unit
+                c *= factors[e]
+            nums[key] = get(key, 0) + c
+        return _reduced({k: c for k, c in nums.items() if c}, den)
 
     # -- canonical text ----------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
+        if not self._nums:
             return "0"
+        den = self._den
         parts = []
-        for exps in sorted(self.terms, key=_term_key):
-            coeff = self.terms[exps]
-            factors = [f"{VARIABLES[i]}^{e}" if e > 1 else VARIABLES[i]
-                       for i, e in enumerate(exps) if e]
-            mag = abs(coeff)
-            if factors and mag == 1:
-                body = "*".join(factors)
-            elif factors:
-                body = str(mag) + "*" + "*".join(factors)
+        for key in sorted(self._nums):
+            num = self._nums[key]
+            g = gcd(num, den)
+            mag = str(abs(num) // g) if g == den else f"{abs(num) // g}/{den // g}"
+            factors = _monomial_text(key)
+            if not factors:
+                body = mag
+            elif mag == "1":
+                body = factors
             else:
-                body = str(mag)
-            parts.append(("-" if coeff < 0 else "+", body))
-        sign, body = parts[0]
-        text = body if sign == "+" else "-" + body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+                body = mag + "*" + factors
+            parts.append(f" - {body}" if num < 0 else f" + {body}")
+        first = parts[0]
+        return ("-" if first[1] == "-" else "") + first[3:] + "".join(parts[1:])
 
     def __repr__(self):
         return f"MultiPoly({self})"
+
+
+def _monomial_text(key: int) -> str:
+    return "*".join(f"{name}^{e}" if e > 1 else name
+                    for name, e in zip(VARIABLES, _unpack(key)) if e)
 
 
 def gens() -> tuple:
@@ -278,9 +491,9 @@ def gens() -> tuple:
 def poly_to_terms(p: MultiPoly) -> list:
     """Canonical monomial list: [{"coeff": "p/q", "monomial": {var: exp}}]."""
     out = []
-    for exps in sorted(p.terms, key=_term_key):
-        mono = {VARIABLES[i]: e for i, e in enumerate(exps) if e}
-        out.append({"coeff": str(p.terms[exps]), "monomial": mono})
+    for key in sorted(p._nums):
+        mono = {name: e for name, e in zip(VARIABLES, _unpack(key)) if e}
+        out.append({"coeff": str(Fraction(p._nums[key], p._den)), "monomial": mono})
     return out
 
 
@@ -534,13 +747,12 @@ def laplace_laurent(p: MultiPoly, order: int) -> LaurentSeries:
     if extra:
         raise ValueError(f"expected a polynomial in E and V only, found {sorted(extra)}")
     iE, iV = _VAR_INDEX["E"], _VAR_INDEX["V"]
-    max_v = max((e[iV] for e in p.terms), default=0)
-    low = -max_v
+    terms = [(exps[iV], exps[iE], c) for exps, c in p.terms.items()]
+    low = -max((a for a, _, _ in terms), default=0)
     coeffs = []
     for j in range(low, order + 1):
         acc = Fraction(0)
-        for exps, c in p.terms.items():
-            a, b = exps[iV], exps[iE]
+        for a, b, c in terms:
             k = j + a
             if k >= 0:
                 acc += c * Fraction((-b) ** k, factorial(k))

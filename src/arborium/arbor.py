@@ -12,6 +12,7 @@ where n (the size) is the largest label.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from itertools import islice
 
@@ -137,86 +138,76 @@ def _validate(root, vertices, children):
 
 # -- parsing -----------------------------------------------------------------
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+# One token per match: leading whitespace (the same set as str.isspace), then
+# an ASCII digit run, one other character, or nothing at the end of the text.
+_TOKEN = re.compile(r"\s*([0-9]+|.|)", re.DOTALL)
 
-    def error(self, message: str):
-        raise ArborError(message, self.pos)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+def _parse_vertices(text: str):
+    """Vertices and children, numbered in pre-order from the root 0.
 
-    def expect(self, ch: str):
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            self.error(f"expected {ch!r}")
-        self.pos += 1
+    One pass over the token list; open child lists sit on a stack, so depth
+    is not bounded by recursion.  Error positions point past the whitespace,
+    at the offending token, except a duplicate label, which points just
+    after the preceding '{' or ','.
+    """
+    toks = _TOKEN.findall(text)
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def error(message, i, past_ws=True) -> ArborError:
+        m = next(islice(_TOKEN.finditer(text), i, None))
+        return ArborError(message, m.start(1) if past_ws else m.start())
 
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected an integer label")
-        try:
-            return int(self.text[start:self.pos])
-        except ValueError:  # longer than Python's integer-string digit limit
-            raise ArborError("label has too many digits", start) from None
-
-    def label_set(self, seen: set) -> set:
-        self.expect("{")
+    i = 0
+    seen, vertices, children, open_lists = set(), {}, {}, []
+    while True:
+        if toks[i] != "{":
+            raise error("expected '{'", i)
+        i += 1
         labels = set()
         while True:
-            at = self.pos
-            lab = self.integer()
+            tok = toks[i]
+            if not "0" <= tok[:1] <= "9":
+                raise error("expected an integer label", i)
+            try:
+                lab = int(tok)
+            except ValueError:  # longer than Python's integer-string digit limit
+                raise error("label has too many digits", i) from None
             if lab in seen:
-                raise ArborError(f"duplicate label {lab}", at)
+                raise error(f"duplicate label {lab}", i, past_ws=False)
             seen.add(lab)
             labels.add(lab)
-            if self.peek() == ",":
-                self.pos += 1
-            else:
+            if toks[i + 1] != ",":
+                i += 1
                 break
-        self.expect("}")
-        return labels
-
-    def arbor(self):
-        """Vertices and children, numbered in pre-order from the root 0; open
-        child lists sit on a stack, so depth is not bounded by recursion."""
-        seen, vertices, children, open_lists = set(), {}, {}, []
-        while True:
-            vid = len(vertices)
-            vertices[vid] = self.label_set(seen)
-            children[vid] = []
-            if open_lists:
-                open_lists[-1].append(vid)
-            if self.peek() == "(":
-                self.pos += 1
-                open_lists.append(children[vid])
-                continue
-            while open_lists and self.peek() != ",":
-                self.expect(")")
-                open_lists.pop()
-            if not open_lists:
-                return vertices, children
-            self.pos += 1
+            i += 2
+        if toks[i] != "}":
+            raise error("expected '}'", i)
+        i += 1
+        vid = len(vertices)
+        vertices[vid] = labels
+        children[vid] = []
+        if open_lists:
+            open_lists[-1].append(vid)
+        if toks[i] == "(":
+            i += 1
+            open_lists.append(children[vid])
+            continue
+        while open_lists and toks[i] != ",":
+            if toks[i] != ")":
+                raise error("expected ')'", i)
+            i += 1
+            open_lists.pop()
+        if not open_lists:
+            break
+        i += 1
+    if toks[i]:
+        raise error("trailing input after arbor", i)
+    return vertices, children
 
 
 def parse_arbor(text: str) -> Arbor:
     """Parse arbor text; validates labels as a partition of {1..max label}."""
-    parser = _Parser(text)
-    vertices, children = parser.arbor()
-    parser.skip_ws()
-    if parser.pos != len(text):
-        parser.error("trailing input after arbor")
+    vertices, children = _parse_vertices(text)
     return Arbor(0, vertices, children)
 
 

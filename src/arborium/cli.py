@@ -8,7 +8,8 @@ Commands:
 
 Exit codes: 0 success, 1 verification or oracle disagreement, 2 usage or
 parse errors.  The environment variable ARBORIUM_ORDER overrides the
-default series order.
+default series order.  Every size input has an upper limit below, checked
+before any work starts; a larger input is a usage error.
 """
 
 from __future__ import annotations
@@ -23,6 +24,14 @@ from .arbor import ArborError, make_tn, parse_arbor, serialize_arbor
 from .crosscheck import corpus_check, cross_check
 from .invariants import INVARIANT_NAMES, compute_invariants
 from .verify import DEFAULT_ORDER, THEOREMS, VERIFIERS
+
+# Input limits.  Each is set so that the largest accepted input ends in about
+# 10 s; the times are single runs on a shared 2-CPU VM with CPython 3.11.
+MAX_ORDER = 52          # verify --order / ARBORIUM_ORDER: all four theorems, 8.6 s
+MAX_COMPUTE_SIZE = 30   # compute --tn / --arbor size: every invariant of the 30-deep
+                        # path, 7.4 s (Ehrhart 6.7 s; it grows as size^6); t_30 1.6 s
+MAX_TN = 800_000        # tn N: 10.4 s, mostly building and validating the arbor
+MAX_PER_SIZE = 40       # oracle-check --per-size: 9.6 s on the default seed
 
 
 def _default_order() -> int:
@@ -92,9 +101,22 @@ def _render_value(value):
     return str(value), {"text": str(value), "value": str(value)}
 
 
+def _compute_arbor(args):
+    """The arbor named by --arbor or --tn, refused above MAX_COMPUTE_SIZE before
+    t_N is built."""
+    if args.arbor:
+        t = parse_arbor(args.arbor)
+        size = t.size
+    else:
+        t, size = None, args.tn
+    if size > MAX_COMPUTE_SIZE:
+        raise ValueError(f"arbor size {size} exceeds the compute limit {MAX_COMPUTE_SIZE}")
+    return t if t is not None else make_tn(size)
+
+
 def cmd_compute(args) -> int:
     try:
-        t = parse_arbor(args.arbor) if args.arbor else make_tn(args.tn)
+        t = _compute_arbor(args)
         names = _invariant_names(args.invariant)
     except (ArborError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -126,6 +148,9 @@ def cmd_verify(args) -> int:
     if order < 1:
         print("error: --order must be >= 1", file=sys.stderr)
         return 2
+    if order > MAX_ORDER:
+        print(f"error: series order {order} exceeds the limit {MAX_ORDER}", file=sys.stderr)
+        return 2
     theorems = args.theorem or list(THEOREMS)
     reports = [VERIFIERS[name](order) for name in theorems]
     if args.format == "json":
@@ -139,6 +164,10 @@ def cmd_verify(args) -> int:
 def cmd_oracle_check(args) -> int:
     if args.per_size < 1:
         print("error: --per-size must be >= 1", file=sys.stderr)
+        return 2
+    if args.per_size > MAX_PER_SIZE:
+        print(f"error: --per-size {args.per_size} exceeds the limit {MAX_PER_SIZE}",
+              file=sys.stderr)
         return 2
     if args.arbor:
         try:
@@ -170,6 +199,9 @@ def cmd_oracle_check(args) -> int:
 
 
 def cmd_tn(args) -> int:
+    if args.n > MAX_TN:
+        print(f"error: n = {args.n} exceeds the limit {MAX_TN}", file=sys.stderr)
+        return 2
     try:
         print(serialize_arbor(make_tn(args.n)))
     except ValueError as exc:

@@ -48,6 +48,11 @@ _E = MultiPoly.variable("E")
 _V = MultiPoly.variable("V")
 
 
+def _exps(**powers) -> tuple:
+    """Exponent tuple with the given powers and zero elsewhere."""
+    return tuple(powers.get(name, 0) for name in VARIABLES)
+
+
 # -- the height-graded fold step -----------------------------------------------
 
 def _cut_product(own, kids) -> list:
@@ -204,17 +209,6 @@ def ehrhart_tn_closed(n: int) -> MultiPoly:
     return (_U + 1) ** (n - 1) * (_U * Fraction(n + 1, 2) + 1)
 
 
-def ehrhart_tn_alternating(n: int) -> MultiPoly:
-    """Inclusion-exclusion form: sum of (-1)^j binom(n-1, j) binom((n-j)(u+1), n)."""
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    acc = MultiPoly.zero()
-    for j in range(n):
-        sign = -1 if j % 2 else 1
-        acc = acc + sign * int_binom(n - 1, j) * binom_poly((n - j) * (_U + 1), n)
-    return acc
-
-
 # -- Laplace transform --------------------------------------------------------------
 
 def truncate_laplace(p: MultiPoly, n: int) -> MultiPoly:
@@ -229,7 +223,7 @@ def truncate_laplace(p: MultiPoly, n: int) -> MultiPoly:
     if extra:
         raise ValueError(f"expected a polynomial in E and V only, found {sorted(extra)}")
     i_e, i_v = VARIABLES.index("E"), VARIABLES.index("V")
-    out = MultiPoly.zero()
+    terms: dict = {}
     for exps, coeff in p.terms.items():
         vdeg = exps[i_v]
         edeg = exps[i_e]
@@ -237,13 +231,13 @@ def truncate_laplace(p: MultiPoly, n: int) -> MultiPoly:
             raise ValueError("every monomial must have V-degree >= 1")
         if edeg >= n:
             continue
+        terms[exps] = coeff
         k = vdeg - 1
-        term = MultiPoly.monomial(exps, coeff)
         for j in range(k + 1):
-            corr = coeff * Fraction((n - edeg) ** (k - j), factorial(k - j))
-            term = term - corr * _V ** (j + 1) * _E ** n
-        out = out + term
-    return out
+            corr = _exps(E=n, V=j + 1)
+            terms[corr] = (terms.get(corr, 0)
+                           - coeff * Fraction((n - edeg) ** (k - j), factorial(k - j)))
+    return MultiPoly(terms)
 
 
 def laplace(t: Arbor) -> MultiPoly:
@@ -318,7 +312,6 @@ __all__ = [
     "compute_invariants",
     "ehrhart",
     "ehrhart_heights",
-    "ehrhart_tn_alternating",
     "ehrhart_tn_closed",
     "k_poly",
     "k_tn_closed",

@@ -4,14 +4,14 @@ Lattice points of dilated tree polytopes are enumerated directly from the
 defining inequalities; the point poset, multichain counts, and Moebius
 tables are computed from first principles.  Everything is exact: Python
 integers, plus numpy in bool/int64 roles only, with explicit bounds that
-rule out int64 overflow before numpy is trusted.
+rule out int64 overflow before numpy is trusted.  numpy is imported by the
+functions that use it, so importing the package (and the CLI's verify and
+compute paths) does not load it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-import numpy as np
 
 from .algebra import MultiPoly, lagrange_interpolate
 from .arbor import Arbor, constraints
@@ -94,6 +94,8 @@ class Poset:
 
 
 def build_poset(t: Arbor) -> Poset:
+    import numpy as np
+
     points = enumerate_points(t, 1)
     n = len(points)
     arr = np.array(points, dtype=np.int64).reshape(n, t.size)
@@ -117,6 +119,8 @@ def multichain_weight_counts(P: Poset, m: int) -> dict:
     products are exact whenever that bound is below 2^62; otherwise the
     same products run on an object array of Python integers.
     """
+    import numpy as np
+
     if m < 2:
         raise ValueError("multichains need m >= 2")
     dtype = np.int64 if P.size ** (m - 1) < 2 ** 62 else object
@@ -161,6 +165,8 @@ def mobius_oracle(P: Poset) -> dict:
     does not use it; it is the reference that the tests compare the
     triangular solve with.
     """
+    import numpy as np
+
     heights = P.heights
     above = [set(np.nonzero(P.leq[a])[0].tolist()) for a in range(P.size)]
     mu: dict = {}
@@ -189,6 +195,8 @@ def m_triangle_oracle(P: Poset) -> MultiPoly:
     fits int64 and agrees with H modulo 2^64, so it equals H and V is
     exact (and so is H^T V); otherwise OverflowError is raised.
     """
+    import numpy as np
+
     n, hmax = P.size, max(P.heights)
     H = np.eye(hmax + 1, dtype=np.int64)[P.heights]
     V = H.copy()

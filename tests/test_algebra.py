@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from arborium.algebra import (
+    DEGREE_LIMIT,
     ExactDivisionError,
     InterpolationError,
     LaurentSeries,
@@ -249,3 +250,43 @@ def test_json_terms_roundtrip():
     for _ in range(20):
         p = random_poly(rng, variables=(u, X, Y, E, V))
         assert poly_from_terms(poly_to_terms(p)) == p
+
+
+def test_product_reaching_the_degree_limit_overflows():
+    top = X ** (DEGREE_LIMIT - 1)
+    assert top.degree() == DEGREE_LIMIT - 1
+    with pytest.raises(OverflowError):
+        top * X
+    with pytest.raises(OverflowError):
+        (1 + top) * (1 + u * v)
+    with pytest.raises(OverflowError):
+        MultiPoly.monomial((0, DEGREE_LIMIT - 3, 0, 0, 0, 1, 2))
+
+
+def test_negative_exponent_is_rejected():
+    with pytest.raises(ValueError):
+        MultiPoly.monomial((0, -1, 0, 0, 0, 0, 0))
+    with pytest.raises(ValueError):
+        MultiPoly({(1, 0, 0, 0, 0, 0, -2): 3})
+
+
+def test_one_polynomial_built_two_ways_has_one_representation():
+    a = (Fraction(1, 2) * X + Fraction(1, 3)) * (X - Fraction(2, 3))
+    b = MultiPoly({(0, 2, 0, 0, 0, 0, 0): Fraction(1, 2), (0, 0, 0, 0, 0, 0, 0): Fraction(-2, 9)})
+    assert a == b and hash(a) == hash(b) and str(a) == str(b) == "-2/9 + 1/2*X^2"
+    c = (X + 1) * (X - 1) * Fraction(3, 6)
+    d = X ** 2 * Fraction(1, 2) - Fraction(1, 2)
+    assert c == d and hash(c) == hash(d) and str(c) == str(d) == "-1/2 + 1/2*X^2"
+    assert (c + Fraction(1, 2)) * 2 == X ** 2 and hash((c + Fraction(1, 2)) * 2) == hash(X ** 2)
+
+
+def test_terms_is_a_read_only_view():
+    p = Fraction(3, 4) * X ** 2 * Y - 5 * u + 1
+    assert len(p.terms) == 3
+    assert dict(p.terms) == {(0, 2, 1, 0, 0, 0, 0): Fraction(3, 4),
+                             (1, 0, 0, 0, 0, 0, 0): Fraction(-5),
+                             (0, 0, 0, 0, 0, 0, 0): Fraction(1)}
+    assert p.terms[(1, 0, 0, 0, 0, 0, 0)] == -5
+    assert (0, 1, 0, 0, 0, 0, 0) not in p.terms
+    with pytest.raises(TypeError):
+        p.terms[(0, 1, 0, 0, 0, 0, 0)] = 1

@@ -2,12 +2,16 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from arborium.algebra import gens, poly_from_terms
-from arborium.cli import main
+from arborium.cli import MAX_COMPUTE_SIZE, MAX_ORDER, MAX_PER_SIZE, MAX_TN, main
 from arborium.invariants import ehrhart, laplace, m_triangle
 from arborium.arbor import make_tn
 
@@ -162,6 +166,34 @@ def test_oracle_check_too_many_points_is_usage_error(capsys, text):
     assert "Traceback" not in err
 
 
+def path_text(n):
+    return "".join("{%d}(" % i for i in range(1, n)) + "{%d}" % n + ")" * (n - 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--order", str(MAX_ORDER + 1)),
+    ("compute", "--tn", str(MAX_COMPUTE_SIZE + 1)),
+    ("compute", "--arbor", path_text(MAX_COMPUTE_SIZE + 1), "--invariant", "ehrhart"),
+    ("compute", "--arbor", DEEP_PATH),
+    ("tn", str(MAX_TN + 1)),
+    ("oracle-check", "--per-size", str(MAX_PER_SIZE + 1)),
+], ids=["verify-order", "compute-tn", "compute-path", "compute-path-1200", "tn", "per-size"])
+def test_size_limits_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "exceeds the" in err
+    assert "Traceback" not in err
+
+
+def test_env_order_limit_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("ARBORIUM_ORDER", str(MAX_ORDER + 1))
+    code, out, err = run(capsys, "verify", "--theorem", "zeta")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: series order {MAX_ORDER + 1} exceeds the limit {MAX_ORDER}\n"
+
+
 def test_oracle_check_corpus_small(capsys):
     code, out, _ = run(capsys, "oracle-check", "--seed", "3", "--per-size", "1")
     assert code == 0
@@ -191,3 +223,14 @@ def test_tn_command(capsys):
     assert out.strip() == "{1}({2},{3},{4},{5})"
     code, _, err = run(capsys, "tn", "0")
     assert code == 2
+
+
+def test_cli_import_does_not_load_numpy():
+    # numpy is loaded by the oracle functions only; verify and compute never need it.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}"}
+    probe = "import sys, arborium.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -12,7 +12,6 @@ from arborium.invariants import (
     compute_invariants,
     ehrhart,
     ehrhart_heights,
-    ehrhart_tn_alternating,
     ehrhart_tn_closed,
     k_poly,
     k_tn_closed,
@@ -27,6 +26,7 @@ from arborium.invariants import (
     zeta_tn_closed,
 )
 from arborium import oracle
+from fan_forms import ehrhart_tn_alternating
 
 u, X, Y, E, V, s, v = gens()
 
