@@ -14,9 +14,7 @@ from .algebra import (
     VARIABLES,
     ExactDivisionError,
     InterpolationError,
-    LaurentSeries,
     MultiPoly,
-    TruncatedSeries,
     binom_poly,
     gens,
     int_binom,
@@ -25,6 +23,7 @@ from .algebra import (
     poly_from_terms,
     poly_to_terms,
     series_expand_rational,
+    series_mul,
     series_pow_symbolic,
 )
 from .arbor import (
@@ -39,7 +38,6 @@ from .arbor import (
     serialize_arbor,
 )
 from .invariants import (
-    InvariantBundle,
     compute_invariants,
     ehrhart,
     ehrhart_heights,
@@ -47,7 +45,6 @@ from .invariants import (
     k_poly,
     k_tn_closed,
     laplace,
-    laplace_series,
     laplace_tn_closed,
     m_from_k,
     m_triangle,

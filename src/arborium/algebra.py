@@ -1,9 +1,11 @@
 """Exact arithmetic kernel.
 
 Sparse multivariate polynomials over the rationals in the fixed variable
-set (u, X, Y, E, V, s, v), truncated power series in s, Laurent
-expansions in v, symbolic-exponent binomials, and exact Lagrange
-interpolation.  No floating point anywhere; equality is literal.
+set (u, X, Y, E, V, s, v), truncated power series in s as plain
+coefficient lists with one truncated product (series_mul), Laurent
+expansions in v as {degree: coefficient} dicts, symbolic-exponent
+binomials, and exact Lagrange interpolation.  No floating point anywhere;
+equality is literal.
 
 A MultiPoly packs each monomial into one int key: the total degree in the
 top field, then one _FIELD_BITS-wide field per variable in VARIABLES
@@ -539,106 +541,23 @@ def binom_poly(p: MultiPoly, k: int) -> MultiPoly:
 
 # -- truncated power series in s --------------------------------------------
 
-class TruncatedSeries:
-    """Power series in s up to a fixed order; coefficients are s-free polynomials."""
+def series_mul(a, b, order: int) -> list:
+    """Product of the coefficient lists a and b, cut after s^order.
 
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, coeffs, order: int | None = None):
-        coeffs = list(coeffs)
-        if order is None:
-            order = len(coeffs) - 1
-        if len(coeffs) != order + 1:
-            raise ValueError("need exactly order+1 coefficients")
-        for c in coeffs:
-            if "s" in c.variables_used():
-                raise ValueError("series coefficients must be free of s")
-        self.order = order
-        self.coeffs = coeffs
-
-    @classmethod
-    def from_poly(cls, p: MultiPoly, order: int) -> "TruncatedSeries":
-        split = p.coeffs_in("s")
-        return cls([split.get(m, MultiPoly.zero()) for m in range(order + 1)], order)
-
-    def coeff(self, m: int) -> MultiPoly:
-        return self.coeffs[m]
-
-    def _coerce(self, other):
-        if isinstance(other, TruncatedSeries):
-            return other
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(other)
-        if isinstance(other, MultiPoly):
-            return TruncatedSeries.from_poly(other, self.order)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            [self.coeffs[m] + other.coeffs[m] for m in range(n + 1)], n)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries([-c for c in self.coeffs], self.order)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        n = min(self.order, other.order)
-        out = [MultiPoly.zero() for _ in range(n + 1)]
-        for i, a in enumerate(self.coeffs[:n + 1]):
-            if a.is_zero():
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(out, n)
-
-    __rmul__ = __mul__
-
-    def differentiate(self) -> "TruncatedSeries":
-        """d/ds; the order drops by one."""
-        if self.order == 0:
-            raise ValueError("cannot differentiate an order-0 series")
-        return TruncatedSeries(
-            [(m + 1) * self.coeffs[m + 1] for m in range(self.order)],
-            self.order - 1)
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.coeffs[:order + 1], order)
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __str__(self):
-        return " , ".join(f"s^{m}: {c}" for m, c in enumerate(self.coeffs))
-
-    def __repr__(self):
-        return f"TruncatedSeries(order={self.order}, [{self}])"
+    Entry m is the sum of a[i] * b[m - i]; a shorter list stands for zeros
+    beyond its end.  Entries may be polynomials or exact numbers, and an
+    entry no product reaches stays the integer 0.
+    """
+    out = [0] * (order + 1)
+    for i, x in enumerate(a[:order + 1]):
+        for j, y in enumerate(b[:order + 1 - i], i):
+            out[j] += x * y
+    return out
 
 
-def series_expand_rational(num: MultiPoly, den: MultiPoly, order: int) -> TruncatedSeries:
-    """Expand num/den as a power series in s via the convolution recurrence.
+def series_expand_rational(num: MultiPoly, den: MultiPoly, order: int) -> list:
+    """Coefficient list [c_0, ..., c_order] of num/den as a power series in s,
+    via the convolution recurrence.
 
     The denominator's s-constant term must be nonzero; each coefficient is
     obtained by an exact division, so non-polynomial quotients fail loudly.
@@ -656,11 +575,12 @@ def series_expand_rational(num: MultiPoly, den: MultiPoly, order: int) -> Trunca
             if dk is not None:
                 acc = acc - dk * coeffs[m - k]
         coeffs.append(acc.exact_div(d0))
-    return TruncatedSeries(coeffs, order)
+    return coeffs
 
 
-def series_pow_symbolic(base_num: MultiPoly, base_den: MultiPoly, order: int) -> TruncatedSeries:
-    """Expand ((1 + a*s)/(1 - b*s))**u with a, b polynomials in u free of s.
+def series_pow_symbolic(base_num: MultiPoly, base_den: MultiPoly, order: int) -> list:
+    """Coefficient list up to s^order of ((1 + a*s)/(1 - b*s))**u, with a, b
+    polynomials in u free of s.
 
     Uses the binomial series with symbolic exponent: (1+a*s)^u expands with
     binom_poly(u, k) and (1-b*s)^(-u) with binom_poly(u+k-1, k).
@@ -681,67 +601,19 @@ def series_pow_symbolic(base_num: MultiPoly, base_den: MultiPoly, order: int) ->
 
     top = [binom_poly(u, k) * alpha ** k for k in range(order + 1)]
     bot = [binom_poly(u + k - 1, k) * beta ** k for k in range(order + 1)]
-    return TruncatedSeries(top, order) * TruncatedSeries(bot, order)
+    return series_mul(top, bot, order)
 
 
 # -- Laurent expansion in v --------------------------------------------------
 
-class LaurentSeries:
-    """Finite window of a Laurent series in v, exact coefficients.
+def laplace_laurent(p: MultiPoly, order: int) -> dict:
+    """Expand a polynomial in E, V as a Laurent series in v, up to v^order.
 
-    Stores coefficients for v^min_degree .. v^order; zero coefficients are
-    trimmed from the low end (min_degree points at the first nonzero one,
-    or 0 for an identically-zero window).
-    """
-
-    __slots__ = ("min_degree", "coeffs", "order")
-
-    def __init__(self, min_degree: int, coeffs, order: int | None = None):
-        coeffs = [_frac(c) for c in coeffs]
-        while coeffs and not coeffs[0]:
-            coeffs.pop(0)
-            min_degree += 1
-        if not coeffs:
-            min_degree = 0
-            coeffs = [Fraction(0)]
-        self.min_degree = min_degree
-        self.coeffs = coeffs
-        self.order = order if order is not None else min_degree + len(coeffs) - 1
-
-    def coefficient(self, j: int) -> Fraction:
-        if self.min_degree <= j < self.min_degree + len(self.coeffs):
-            return self.coeffs[j - self.min_degree]
-        return Fraction(0)
-
-    @property
-    def constant_term(self) -> Fraction:
-        return self.coefficient(0)
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        return (self.min_degree == other.min_degree
-                and self.coeffs == other.coeffs)
-
-    def __str__(self):
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c:
-                j = self.min_degree + i
-                mono = "1" if j == 0 else ("v" if j == 1 else f"v^{j}")
-                parts.append(f"{c}*{mono}" if j else str(c))
-        return " + ".join(parts) if parts else "0"
-
-    def __repr__(self):
-        return f"LaurentSeries({self})"
-
-
-def laplace_laurent(p: MultiPoly, order: int) -> LaurentSeries:
-    """Expand a polynomial in E, V as a Laurent series in v.
-
-    Substitutes E -> exp(-v) and V -> 1/v; the coefficient of v^j from a
-    monomial c*V^a*E^b is c*(-b)^(j+a)/(j+a)!, which is exact term by term
-    (no working-precision truncation is involved).
+    Returns {j: coefficient of v^j} for the nonzero coefficients only, so
+    the smallest key is the Laurent degree.  Substitutes E -> exp(-v) and
+    V -> 1/v; the coefficient of v^j from a monomial c*V^a*E^b is
+    c*(-b)^(j+a)/(j+a)!, which is exact term by term (no working-precision
+    truncation is involved).
     """
     extra = p.variables_used() - {"E", "V"}
     if extra:
@@ -749,15 +621,16 @@ def laplace_laurent(p: MultiPoly, order: int) -> LaurentSeries:
     iE, iV = _VAR_INDEX["E"], _VAR_INDEX["V"]
     terms = [(exps[iV], exps[iE], c) for exps, c in p.terms.items()]
     low = -max((a for a, _, _ in terms), default=0)
-    coeffs = []
+    out = {}
     for j in range(low, order + 1):
         acc = Fraction(0)
         for a, b, c in terms:
             k = j + a
             if k >= 0:
                 acc += c * Fraction((-b) ** k, factorial(k))
-        coeffs.append(acc)
-    return LaurentSeries(low, coeffs, order)
+        if acc:
+            out[j] = acc
+    return out
 
 
 # -- exact Lagrange interpolation ---------------------------------------------

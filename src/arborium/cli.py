@@ -121,8 +121,7 @@ def cmd_compute(args) -> int:
     except (ArborError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    bundle = compute_invariants(t, names)
-    values = {name: getattr(bundle, name) for name in names}
+    values = compute_invariants(t, names)
     if args.format == "json":
         payload = {"arbor": serialize_arbor(t), "size": t.size, "invariants": {}}
         for name in names:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import MultiPoly
+from .algebra import MultiPoly, laplace_laurent
 from .arbor import Arbor, ArborError, random_corpus, serialize_arbor
 from . import invariants, oracle
 
@@ -64,7 +64,7 @@ def cross_check(t: Arbor) -> list:
 
     z = invariants.zeta_poly(t)
     if n_points <= _SPOT_LIMIT:
-        out.append(_outcome(text, "zeta vs multichain oracle", z, oracle.zeta_oracle(t)))
+        out.append(_outcome(text, "zeta vs multichain oracle", z, oracle.zeta_oracle(P)))
     else:
         x = MultiPoly.variable("X")
         for m in (2, 3, 4):
@@ -75,16 +75,15 @@ def cross_check(t: Arbor) -> list:
             out.append(_outcome(text, f"zeta spot m={m}", z.subs({"u": m}), direct))
 
     k = invariants.k_poly(t)
-    out.append(_outcome(text, "k vs point census", k, oracle.k_oracle(t)))
+    out.append(_outcome(text, "k vs point census", k, oracle.k_oracle(P)))
 
     m_tri = invariants.m_from_k(k)
     out.append(_outcome(text, "m vs moebius oracle", m_tri, oracle.m_triangle_oracle(P)))
     out.append(_outcome(text, "m at X=1", m_tri.subs({"X": 1}), MultiPoly.const(1)))
 
-    lap_series = invariants.laplace_series(t, 0)
-    out.append(CheckOutcome(text, "laplace entire", lap_series.min_degree >= 0,
-                            "" if lap_series.min_degree >= 0
-                            else f"min degree {lap_series.min_degree}"))
+    low = min(laplace_laurent(invariants.laplace(t), 0), default=0)
+    out.append(CheckOutcome(text, "laplace entire", low >= 0,
+                            "" if low >= 0 else f"min degree {low}"))
 
     size_identities = [
         ("zeta at u=2, X=1", z.subs({"u": 2, "X": 1}).constant_value()),

@@ -23,7 +23,6 @@ plus the closed forms for the fan family t_n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import comb, factorial
@@ -32,12 +31,12 @@ from operator import mul
 from .algebra import (
     VARIABLES,
     ExactDivisionError,
-    LaurentSeries,
     MultiPoly,
     binom_poly,
     int_binom,
     lagrange_interpolate,
     laplace_laurent,
+    series_mul,
 )
 from .arbor import Arbor, make_tn
 
@@ -58,19 +57,13 @@ def _exps(**powers) -> tuple:
 def _cut_product(own, kids) -> list:
     """Fold step shared by zeta_poly, k_poly and ehrhart_heights.
 
-    Every list is indexed by height.  own[h] weighs the vertex's own
-    coordinates summing to h; each child's list is convolved in, and every
-    height above len(own) - 1, the vertex's inequality, is cut.
+    Every list is a series in the height, [c_0, ..., c_cap].  own[h] weighs
+    the vertex's own coordinates summing to h; each child's list is
+    multiplied in by series_mul, which cuts every height above
+    cap = len(own) - 1, the vertex's inequality.
     """
     cap = len(own) - 1
-    g = own
-    for kid in kids:
-        out = [0] * (cap + 1)
-        for i, a in enumerate(g):
-            for j, b in enumerate(kid[:cap + 1 - i], i):
-                out[j] += a * b
-        g = out
-    return g
+    return reduce(lambda g, kid: series_mul(g, kid, cap), kids, own)
 
 
 # -- zeta ---------------------------------------------------------------------
@@ -267,30 +260,12 @@ def volume(t: Arbor) -> Fraction:
     Laplace transform.  A negative Laurent degree would mean the transform
     is not entire and is reported as a contract violation."""
     series = laplace_laurent(laplace(t), 0)
-    if series.min_degree < 0:
+    if min(series, default=0) < 0:
         raise ValueError("Laplace transform has negative Laurent degree")
-    return series.constant_term
+    return series.get(0, Fraction(0))
 
 
-def laplace_series(t: Arbor, order: int) -> LaurentSeries:
-    """Laurent window of the Laplace transform, for inspection and tests."""
-    return laplace_laurent(laplace(t), order)
-
-
-# -- bundle ----------------------------------------------------------------------
-
-@dataclass
-class InvariantBundle:
-    """Requested invariants of one arbor; unrequested fields stay None."""
-
-    arbor: Arbor
-    zeta: MultiPoly | None = None
-    k: MultiPoly | None = None
-    m: MultiPoly | None = None
-    ehrhart: MultiPoly | None = None
-    laplace: MultiPoly | None = None
-    volume: Fraction | None = None
-
+# -- by name -----------------------------------------------------------------------
 
 _INVARIANTS = {"zeta": zeta_poly, "k": k_poly, "m": m_triangle,
                "ehrhart": ehrhart, "laplace": laplace, "volume": volume}
@@ -298,17 +273,17 @@ _INVARIANTS = {"zeta": zeta_poly, "k": k_poly, "m": m_triangle,
 INVARIANT_NAMES = tuple(_INVARIANTS)
 
 
-def compute_invariants(t: Arbor, names=INVARIANT_NAMES) -> InvariantBundle:
-    bundle = InvariantBundle(arbor=t)
+def compute_invariants(t: Arbor, names=INVARIANT_NAMES) -> dict:
+    """{name: value} of the named invariants of t."""
+    values = {}
     for name in names:
         if name not in _INVARIANTS:
             raise ValueError(f"unknown invariant {name!r}")
-        setattr(bundle, name, _INVARIANTS[name](t))
-    return bundle
+        values[name] = _INVARIANTS[name](t)
+    return values
 
 
 __all__ = [
-    "InvariantBundle",
     "compute_invariants",
     "ehrhart",
     "ehrhart_heights",
@@ -316,7 +291,6 @@ __all__ = [
     "k_poly",
     "k_tn_closed",
     "laplace",
-    "laplace_series",
     "laplace_tn_closed",
     "m_from_k",
     "m_triangle",

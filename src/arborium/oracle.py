@@ -135,15 +135,15 @@ def multichain_weight_counts(P: Poset, m: int) -> dict:
     return counts
 
 
-def zeta_oracle(t: Arbor) -> MultiPoly:
+def zeta_oracle(P: Poset) -> MultiPoly:
     """Height-weighted zeta polynomial recovered from raw multichain counts.
 
-    Counts weighted multichains for m = 2..n+3 and interpolates each
-    X-coefficient as a degree-<=n polynomial in u; the spare sample is an
-    interpolation consistency check.
+    With n the arbor's size, the top height of P, counts weighted
+    multichains for m = 2..n+3 and interpolates each X-coefficient as a
+    degree-<=n polynomial in u; the spare sample is an interpolation
+    consistency check.
     """
-    n = t.size
-    P = build_poset(t)
+    n = max(P.heights)
     X = MultiPoly.variable("X")
     per_m = {m: multichain_weight_counts(P, m) for m in range(2, n + 4)}
     result = MultiPoly.zero()
@@ -217,13 +217,13 @@ def m_triangle_oracle(P: Poset) -> MultiPoly:
 
 # -- direct statistic sums -------------------------------------------------------
 
-def k_oracle(t: Arbor) -> MultiPoly:
+def k_oracle(P: Poset) -> MultiPoly:
     """Sum of X^(nonzero coordinates) * Y^(coordinate sum) over the point poset."""
     X = MultiPoly.variable("X")
     Y = MultiPoly.variable("Y")
     counts: dict = {}
-    for point in enumerate_points(t, 1):
-        key = (sum(1 for x in point if x), sum(point))
+    for point, height in zip(P.elements, P.heights):
+        key = (sum(1 for x in point if x), height)
         counts[key] = counts.get(key, 0) + 1
     result = MultiPoly.zero()
     for (nz, ht), c in counts.items():

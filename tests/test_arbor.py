@@ -1,9 +1,11 @@
 """Grammar, validation, constraints, and the seeded corpus."""
 
 import random
+import re
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arborium.arbor import (
     Arbor,
@@ -55,6 +57,40 @@ def test_parse_errors(text, fragment):
     with pytest.raises(ArborError) as err:
         parse_arbor(text)
     assert fragment in str(err.value)
+
+
+# Canonical texts of random arbors of size at most 12; gaps is the
+# whitespace put between their tokens (never inside an integer).
+arbor_texts = st.builds(lambda n, seed: serialize_arbor(random_arbor(n, random.Random(seed))),
+                        st.integers(1, 12), st.integers(0, 2 ** 32))
+gaps = st.text(alphabet=" \t\n\r\f\v", max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arbor_texts, st.data())
+def test_parse_serialize_roundtrip_with_whitespace(text, data):
+    t = parse_arbor(text)
+    assert serialize_arbor(t) == text
+    tokens = re.findall(r"[0-9]+|.", text)
+    spaced = "".join(data.draw(gaps) + tok for tok in tokens) + data.draw(gaps)
+    assert parse_arbor(spaced) == t
+    assert serialize_arbor(parse_arbor(spaced)) == text
+
+
+@settings(max_examples=200, deadline=None)
+@given(arbor_texts, st.data())
+def test_one_character_edit_parses_or_raises_arbor_error(text, data):
+    kind = data.draw(st.sampled_from(("delete", "insert", "replace")))
+    i = data.draw(st.integers(0, len(text) - (kind != "insert")))
+    ch = data.draw(st.one_of(st.sampled_from("{}(),0123456789 "), st.characters()))
+    edited = text[:i] + ("" if kind == "delete" else ch) + text[i + (kind != "insert"):]
+    try:
+        t = parse_arbor(edited)
+    except ArborError as err:
+        if err.position is not None:
+            assert 0 <= err.position <= len(edited)
+    else:
+        assert parse_arbor(serialize_arbor(t)) == t
 
 
 def test_parse_error_reports_position():

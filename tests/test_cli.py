@@ -10,10 +10,12 @@ from pathlib import Path
 
 import pytest
 
+from arborium import invariants
 from arborium.algebra import gens, poly_from_terms
+from arborium.arbor import ArborError, make_tn, parse_arbor
 from arborium.cli import MAX_COMPUTE_SIZE, MAX_ORDER, MAX_PER_SIZE, MAX_TN, main
+from arborium.crosscheck import cross_check
 from arborium.invariants import ehrhart, laplace, m_triangle
-from arborium.arbor import make_tn
 
 u, X, Y, E, V, s, v = gens()
 
@@ -164,6 +166,21 @@ def test_oracle_check_too_many_points_is_usage_error(capsys, text):
     assert out == ""
     assert err.startswith("error: ") and "oracle checks stop at 8192" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [
+    DEEP_PATH,
+    "{" + ",".join(str(i) for i in range(1, 15)) + "}",
+], ids=["path-1200", "one-vertex-14"])
+def test_cross_check_size_guard_comes_before_the_point_count(monkeypatch, text):
+    # 2^size > 8192 refuses these arbors at once; counting the points of the
+    # 1200-deep path with the Ehrhart fold would take over a minute.
+    def fail(t, u):
+        raise AssertionError("ehrhart_heights ran before the 2^size guard")
+
+    monkeypatch.setattr(invariants, "ehrhart_heights", fail)
+    with pytest.raises(ArborError):
+        cross_check(parse_arbor(text))
 
 
 def path_text(n):

@@ -16,7 +16,6 @@ from arborium.invariants import (
     k_poly,
     k_tn_closed,
     laplace,
-    laplace_series,
     laplace_tn_closed,
     m_triangle,
     m_tn_closed,
@@ -81,7 +80,7 @@ def test_k_single_vertex_base_case():
                 c = int_binom(r, j) * int_binom(k - 1, k - j)
                 expected = expected + c * X ** j * Y ** k
         assert k_poly(t) == expected
-        assert k_poly(t) == oracle.k_oracle(t)
+        assert k_poly(t) == oracle.k_oracle(oracle.build_poset(t))
 
 
 def test_k_fan_closed_form():
@@ -231,7 +230,7 @@ def test_laplace_nested_arbor_degree_bound():
     t = parse_arbor("{1,2}({3}({4}),{5})")
     lap = laplace(t)
     assert lap.degree("E") <= t.size
-    assert laplace_series(t, 0).min_degree >= 0
+    assert min(laplace_laurent(lap, 0), default=0) >= 0
 
 
 def test_volume_values():
@@ -288,15 +287,15 @@ def test_recursions_against_oracles_spot():
     arbors.append(parse_arbor("{1,2,3,4,5}"))
     for t in arbors:
         P = oracle.build_poset(t)
-        assert zeta_poly(t) == oracle.zeta_oracle(t), serialize_arbor(t)
-        assert k_poly(t) == oracle.k_oracle(t), serialize_arbor(t)
+        assert zeta_poly(t) == oracle.zeta_oracle(P), serialize_arbor(t)
+        assert k_poly(t) == oracle.k_oracle(P), serialize_arbor(t)
         assert m_triangle(t) == oracle.m_triangle_oracle(P), serialize_arbor(t)
 
 
 def test_compute_invariants_bundle():
-    bundle = compute_invariants(make_tn(2), ("ehrhart", "volume"))
-    assert bundle.ehrhart == 1 + Fraction(5, 2) * u + Fraction(3, 2) * u ** 2
-    assert bundle.volume == Fraction(3, 2)
-    assert bundle.zeta is None
+    values = compute_invariants(make_tn(2), ("ehrhart", "volume"))
+    assert values["ehrhart"] == 1 + Fraction(5, 2) * u + Fraction(3, 2) * u ** 2
+    assert values["volume"] == Fraction(3, 2)
+    assert "zeta" not in values
     with pytest.raises(ValueError):
         compute_invariants(make_tn(1), ("nope",))

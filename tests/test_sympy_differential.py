@@ -142,4 +142,4 @@ def test_series_expand_rational_matches_sympy_series(num, d0, tail, order):
         sympy.series(to_sympy(num) / to_sympy(den), ss, 0, order + 1).removeO())
     got = series_expand_rational(num, den, order)
     for m in range(order + 1):
-        assert got.coeff(m) == from_sympy(expected.coeff(ss, m))
+        assert got[m] == from_sympy(expected.coeff(ss, m))
