@@ -393,50 +393,20 @@ class MultiPoly:
         return q._scale(divisor._den, 1)._scale(1, self._den) if q._nums else q
 
     def subs(self, mapping) -> "MultiPoly":
-        """Simultaneous substitution of variables by polynomials or exact rationals."""
-        numbers, polys = {}, {}
-        for name, img in mapping.items():
-            i = _VAR_INDEX[name]
-            if isinstance(img, (int, Fraction)):
-                numbers[i] = Fraction(img)
-            elif isinstance(img, MultiPoly):
-                polys[i] = img
-            else:
-                raise TypeError("substitution images must be polynomials or exact rationals")
-        p = self._subs_numbers(numbers) if numbers else self
-        if not polys:
-            return p
-        powers = {i: [MultiPoly.const(1)] for i in polys}
-        parts = []
-        for key, num in p._nums.items():
-            factors = []
-            for i, img in polys.items():
-                shift = _SHIFTS[i]
-                e = (key >> shift) & _MASK
-                if e:
-                    key -= e * ((1 << _DEG_SHIFT) | (1 << shift))
-                    cache = powers[i]
-                    while len(cache) <= e:
-                        cache.append(cache[-1] * img)
-                    factors.append(cache[e])
-            term = _new({key: num}, 1)
-            for factor in factors:
-                term = term * factor
-            parts.append(term)
-        return sum(parts, MultiPoly.zero())._scale(1, p._den)
-
-    def _subs_numbers(self, values: dict) -> "MultiPoly":
-        """Substitute exact rationals {variable index: value}, on the packed keys.
+        """Simultaneous substitution of variables by exact rationals.
 
         A value p/q at exponent e contributes p^e * q^(top - e) to the
         numerator, with top the variable's largest exponent, and q^top to
         the common denominator.
         """
+        for img in mapping.values():
+            if not isinstance(img, (int, Fraction)):
+                raise TypeError("substitution images must be exact rationals")
         den = self._den
         tables = []
-        for i, value in values.items():
-            shift = _SHIFTS[i]
-            top = self.degree(VARIABLES[i])
+        for name, value in mapping.items():
+            shift = _SHIFTS[_VAR_INDEX[name]]
+            top = self.degree(name)
             p, q = value.numerator, value.denominator
             factors = [p ** e * q ** (top - e) for e in range(top + 1)]
             tables.append((shift, (1 << _DEG_SHIFT) | (1 << shift), factors))

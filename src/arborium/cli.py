@@ -88,7 +88,10 @@ def _invariant_names(raw) -> list:
         return list(INVARIANT_NAMES)
     names = []
     for chunk in raw:
-        names.extend(x.strip() for x in chunk.split(",") if x.strip())
+        named = [x.strip() for x in chunk.split(",") if x.strip()]
+        if not named:
+            raise ValueError(f"--invariant {chunk!r} names no invariant")
+        names.extend(named)
     bad = [x for x in names if x not in INVARIANT_NAMES]
     if bad:
         raise ValueError(f"unknown invariant(s): {', '.join(bad)}")

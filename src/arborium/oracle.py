@@ -1,12 +1,14 @@
 """Brute-force ground truth, independent of the recursion machinery.
 
-Lattice points of dilated tree polytopes are enumerated directly from the
-defining inequalities; the point poset, multichain counts, and Moebius
-tables are computed from first principles.  Everything is exact: Python
-integers, plus numpy in bool/int64 roles only, with explicit bounds that
-rule out int64 overflow before numpy is trusted.  numpy is imported by the
-functions that use it, so importing the package (and the CLI's verify and
-compute paths) does not load it.
+Lattice points of dilated tree polytopes come from one iterative walk over
+the defining inequalities, which both the counter and the enumerator read;
+nothing here recurses, so deep arbors need no stack.  The point poset is
+compared pairwise, multichain counts for every m come from one sweep of
+the zeta matrix, and the Moebius tables are computed from first principles.
+Everything is exact: Python integers, plus numpy in bool/int64 roles only,
+with explicit bounds that rule out int64 overflow before numpy is trusted.
+numpy is imported by the functions that use it, so importing the package
+(and the CLI's verify and compute paths) does not load it.
 """
 
 from __future__ import annotations
@@ -17,64 +19,54 @@ from .algebra import MultiPoly, lagrange_interpolate
 from .arbor import Arbor, constraints
 
 
-def _budget_tables(t: Arbor, u: int):
+def _walk(t: Arbor, u: int):
+    """Yield (prefix, cap) for every feasible choice of the first n-1
+    coordinates of a point of the u-th dilate, in lexicographic order.
+
+    The points with that prefix are prefix + (v,) for v = 0..cap.  An
+    odometer over the coordinates: each constraint keeps its remaining
+    budget, so a coordinate's range is the least budget among the
+    constraints it enters, and every prefix it yields is feasible.
+    """
+    if u < 0:
+        raise ValueError("dilation factor must be >= 0")
     cons = constraints(t)
     budgets = [u * c.bound for c in cons]
     per_label = [
         [ci for ci, c in enumerate(cons) if lab in c.support]
         for lab in range(1, t.size + 1)
     ]
-    return budgets, per_label
+    budget = budgets.__getitem__
+    last = t.size - 1
+    point = [0] * last
+    caps = [0] * last
+    i = 0
+    while True:
+        for j in range(i, last):
+            caps[j] = min(map(budget, per_label[j]))
+        yield tuple(point), min(map(budget, per_label[last]))
+        i = last - 1
+        while i >= 0 and point[i] == caps[i]:
+            for ci in per_label[i]:
+                budgets[ci] += point[i]
+            point[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        point[i] += 1
+        for ci in per_label[i]:
+            budgets[ci] -= 1
+        i += 1
 
 
 def enumerate_points(t: Arbor, u: int) -> list:
     """All integer points of the u-th dilate, in lexicographic order."""
-    if u < 0:
-        raise ValueError("dilation factor must be >= 0")
-    n = t.size
-    budgets, per_label = _budget_tables(t, u)
-    point = [0] * n
-    out = []
-
-    def rec(i):
-        if i == n:
-            out.append(tuple(point))
-            return
-        cap = min(budgets[ci] for ci in per_label[i])
-        for val in range(cap + 1):
-            point[i] = val
-            for ci in per_label[i]:
-                budgets[ci] -= val
-            rec(i + 1)
-            for ci in per_label[i]:
-                budgets[ci] += val
-        point[i] = 0
-
-    rec(0)
-    return out
+    return [prefix + (v,) for prefix, cap in _walk(t, u) for v in range(cap + 1)]
 
 
 def count_points(t: Arbor, u: int) -> int:
     """|u-th dilate ∩ Z^n| without materializing the points."""
-    if u < 0:
-        raise ValueError("dilation factor must be >= 0")
-    n = t.size
-    budgets, per_label = _budget_tables(t, u)
-
-    def rec(i):
-        cap = min(budgets[ci] for ci in per_label[i])
-        if i == n - 1:
-            return cap + 1
-        total = 0
-        for val in range(cap + 1):
-            for ci in per_label[i]:
-                budgets[ci] -= val
-            total += rec(i + 1)
-            for ci in per_label[i]:
-                budgets[ci] += val
-        return total
-
-    return rec(0)
+    return sum(cap + 1 for _, cap in _walk(t, u))
 
 
 class Poset:
@@ -100,55 +92,60 @@ def build_poset(t: Arbor) -> Poset:
     n = len(points)
     arr = np.array(points, dtype=np.int64).reshape(n, t.size)
     heights = [int(h) for h in arr.sum(axis=1)]
-    leq = np.empty((n, n), dtype=bool)
+    # Lex order is a linear extension of <=, so only the upper triangle is compared.
+    leq = np.zeros((n, n), dtype=bool)
     chunk = max(1, (1 << 22) // max(1, n * t.size))
     for start in range(0, n, chunk):
         stop = min(n, start + chunk)
-        leq[start:stop] = (arr[start:stop, None, :] <= arr[None, :, :]).all(axis=2)
+        leq[start:stop, start:] = (arr[start:stop, None, :] <= arr[None, start:, :]).all(axis=2)
     return Poset(points, heights, leq)
 
 
 # -- multichain counting -------------------------------------------------------
 
-def multichain_weight_counts(P: Poset, m: int) -> dict:
-    """Weighted multichain census for one integer m >= 2.
+def multichain_weight_counts(P: Poset, top: int) -> dict:
+    """Weighted multichain census for every integer m = 2..top.
 
-    Returns {height h: number of multichains e_1 <= ... <= e_{m-1} whose top
-    element has height h}.  Counting applies the zeta matrix m-2 times to the
-    all-ones vector.  Every count is at most |P|^(m-1), so int64 numpy
-    products are exact whenever that bound is below 2^62; otherwise the
-    same products run on an object array of Python integers.
+    Returns {m: {height h: number of multichains e_1 <= ... <= e_{m-1} whose
+    top element has height h}}.  One sweep from the all-ones vector applies
+    the zeta matrix once per step, so census m reads the vector after m-2
+    products.  Every count of census m is at most |P|^(m-1), so int64 numpy
+    products are exact while that bound is below 2^62; from the first m
+    where it is not, the sweep continues on object arrays of Python integers.
     """
     import numpy as np
 
-    if m < 2:
+    if top < 2:
         raise ValueError("multichains need m >= 2")
-    dtype = np.int64 if P.size ** (m - 1) < 2 ** 62 else object
-    vec = np.ones(P.size, dtype=dtype)
-    zmat = P.leq.astype(np.int64).astype(dtype, copy=False)
-    for _ in range(m - 2):
-        vec = vec @ zmat
-    totals = vec.tolist()
-    counts: dict = {}
-    for b, c in enumerate(totals):
-        counts[P.heights[b]] = counts.get(P.heights[b], 0) + c
-    return counts
+    vec = np.ones(P.size, dtype=np.int64)
+    zmat = P.leq.astype(np.int64)
+    out = {}
+    for m in range(2, top + 1):
+        if m > 2:
+            if vec.dtype != object and P.size ** (m - 1) >= 2 ** 62:
+                vec, zmat = vec.astype(object), zmat.astype(object)
+            vec = vec @ zmat
+        counts: dict = {}
+        for h, c in zip(P.heights, vec.tolist()):
+            counts[h] = counts.get(h, 0) + c
+        out[m] = counts
+    return out
 
 
 def zeta_oracle(P: Poset) -> MultiPoly:
     """Height-weighted zeta polynomial recovered from raw multichain counts.
 
-    With n the arbor's size, the top height of P, counts weighted
-    multichains for m = 2..n+3 and interpolates each X-coefficient as a
-    degree-<=n polynomial in u; the spare sample is an interpolation
-    consistency check.
+    With n the arbor's size, the top height of P, one multichain sweep
+    counts weighted multichains for m = 2..n+3 and each X-coefficient is
+    interpolated as a degree-<=n polynomial in u; the spare sample is an
+    interpolation consistency check.
     """
     n = max(P.heights)
     X = MultiPoly.variable("X")
-    per_m = {m: multichain_weight_counts(P, m) for m in range(2, n + 4)}
+    per_m = multichain_weight_counts(P, n + 3)
     result = MultiPoly.zero()
     for j in range(n + 1):
-        samples = [(m, per_m[m].get(j, 0)) for m in range(2, n + 4)]
+        samples = [(m, counts.get(j, 0)) for m, counts in per_m.items()]
         result = result + lagrange_interpolate(samples, degree=n, var="u") * X ** j
     return result
 

@@ -90,6 +90,9 @@ def test_substitute_and_eval():
     assert p.subs({"u": 3, "X": Fraction(1, 2)}).constant_value() == Fraction(23, 2)
     with pytest.raises(ValueError):
         p.constant_value()
+    for image in (1 + X, 0.5):
+        with pytest.raises(TypeError):
+            p.subs({"u": image})
 
 
 def test_int_binom_conventions():

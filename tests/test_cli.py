@@ -92,6 +92,10 @@ def test_compute_unknown_invariant(capsys):
     code, _, err = run(capsys, "compute", "--tn", "2", "--invariant", "banana")
     assert code == 2
     assert "banana" in err
+    for value in (",", "", " , "):
+        code, out, err = run(capsys, "compute", "--arbor", "{1}({2})", "--invariant", value)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "names no invariant" in err
 
 
 def test_compute_requires_arbor_or_tn(capsys):

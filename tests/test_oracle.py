@@ -1,12 +1,15 @@
 """Brute-force oracle tests: enumeration, posets, multichains, Moebius tables."""
 
+import itertools
+import random
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
 
 from arborium.algebra import MultiPoly, gens
-from arborium.arbor import make_tn, parse_arbor, random_corpus
+from arborium.arbor import Arbor, constraints, make_tn, parse_arbor, random_arbor, random_corpus
 from arborium.oracle import (
     Poset,
     build_poset,
@@ -39,6 +42,42 @@ def test_count_matches_enumerate():
     for t in random_corpus(9, sizes=range(1, 6), per_size=2):
         for dil in range(3):
             assert count_points(t, dil) == len(enumerate_points(t, dil))
+
+
+def test_count_and_enumerate_match_a_filtered_box():
+    # reference independent of the walk: every point of the box [0, u*n]^n,
+    # kept when it meets each subtree inequality
+    rng = random.Random(11)
+    for n in range(1, 5):
+        for _ in range(4):
+            t = random_arbor(n, rng)
+            cons = constraints(t)
+            for dil in range(3):
+                box = itertools.product(range(dil * n + 1), repeat=n)
+                expected = [p for p in box
+                            if all(sum(p[lab - 1] for lab in c.support) <= dil * c.bound
+                                   for c in cons)]
+                assert enumerate_points(t, dil) == expected, (t, dil)
+                assert count_points(t, dil) == len(expected), (t, dil)
+
+
+def test_count_and_enumerate_have_no_depth_limit():
+    n = 1500
+    path = Arbor(0, {i: {i + 1} for i in range(n)}, {i: [i + 1] for i in range(n - 1)})
+    assert count_points(path, 0) == 1
+    assert enumerate_points(path, 0) == [(0,) * n]
+
+
+def test_poset_order_is_the_full_pairwise_comparison():
+    arbors = random_corpus(20260809, sizes=range(1, 6), per_size=4)
+    arbors.append(parse_arbor("{1,2}({3}({6,7},{8}),{4,5})"))
+    for t in arbors:
+        P = build_poset(t)
+        arr = np.array(P.elements, dtype=np.int64)
+        for start in range(0, P.size, 256):
+            rows = arr[start:start + 256, None, :]
+            full = (rows <= arr[None, :, :]).all(axis=2)
+            assert np.array_equal(P.leq[start:start + 256], full), t
 
 
 def test_poset_structure_fan_two():
@@ -125,10 +164,12 @@ def test_m_triangle_solve_is_exact_or_raises_overflow():
 
 def test_multichain_counts_basics():
     P = build_poset(make_tn(2))
+    census = multichain_weight_counts(P, 3)
+    assert list(census) == [2, 3]
     # m=2: single elements, weighted by height
-    assert multichain_weight_counts(P, 2) == {0: 1, 1: 2, 2: 2}
+    assert census[2] == {0: 1, 1: 2, 2: 2}
     # m=3: ordered pairs a <= b
-    assert sum(multichain_weight_counts(P, 3).values()) == 12
+    assert sum(census[3].values()) == 12
     with pytest.raises(ValueError):
         multichain_weight_counts(P, 1)
 
@@ -136,20 +177,27 @@ def test_multichain_counts_basics():
 def test_multichain_counts_on_both_sides_of_the_int64_bound():
     # |P| = 5: int64 counting up to m = 27 (5^26 < 2^62), Python ints from m = 28.
     P = build_poset(make_tn(2))
+    census = multichain_weight_counts(P, 30)
+    assert list(census) == list(range(2, 31))
     below = [[a for a in range(P.size) if P.leq[a, b]] for b in range(P.size)]
     totals = [1] * P.size
     for m in range(2, 31):
         expected: dict = {}
         for b, c in enumerate(totals):
             expected[P.heights[b]] = expected.get(P.heights[b], 0) + c
-        got = multichain_weight_counts(P, m)
+        got = census[m]
         assert got == expected and all(type(c) is int for c in got.values()), m
         totals = [sum(totals[a] for a in below[b]) for b in range(P.size)]
+    # A 64-element chain: C(b+m-2, m-2) multichains end at element b, which
+    # passes 2^63 from m = 23 (b = 63); Python ints take over from m = 12.
+    chain = Poset(list(range(64)), list(range(64)), np.triu(np.ones((64, 64), dtype=bool)))
+    for m, got in multichain_weight_counts(chain, 30).items():
+        assert got == {b: comb(b + m - 2, m - 2) for b in range(64)}, m
 
 
 def test_multichain_totals_monotone():
     P = build_poset(parse_arbor("{1,2}({3})"))
-    totals = [sum(multichain_weight_counts(P, m).values()) for m in range(2, 8)]
+    totals = [sum(counts.values()) for counts in multichain_weight_counts(P, 7).values()]
     assert totals[0] == P.size
     assert all(a <= b for a, b in zip(totals, totals[1:]))
 
