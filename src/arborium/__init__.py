@@ -20,6 +20,7 @@ from .algebra import (
     int_binom,
     lagrange_interpolate,
     laplace_laurent,
+    poly_from_counts,
     poly_from_terms,
     poly_to_terms,
     series_expand_rational,

@@ -4,8 +4,8 @@ Sparse multivariate polynomials over the rationals in the fixed variable
 set (u, X, Y, E, V, s, v), truncated power series in s as plain
 coefficient lists with one truncated product (series_mul), Laurent
 expansions in v as {degree: coefficient} dicts, symbolic-exponent
-binomials, and exact Lagrange interpolation.  No floating point anywhere;
-equality is literal.
+binomials, and exact interpolation at consecutive integers.  No floating
+point anywhere; equality is literal.
 
 A MultiPoly packs each monomial into one int key: the total degree in the
 top field, then one _FIELD_BITS-wide field per variable in VARIABLES
@@ -458,6 +458,23 @@ def gens() -> tuple:
     return tuple(MultiPoly.variable(name) for name in VARIABLES)
 
 
+def poly_from_counts(counts, *names) -> MultiPoly:
+    """Census polynomial: the sum of c * name_1^e_1 * ... over {key: integer c}.
+
+    A key is one exponent when one variable is named, else a tuple with one
+    exponent per name; zero counts are dropped.
+    """
+    slots = [_VAR_INDEX[name] for name in names]
+    exps = [0] * _NVARS
+    nums = {}
+    for key, c in counts.items():
+        if c:
+            for slot, e in zip(slots, key if len(slots) > 1 else (key,), strict=True):
+                exps[slot] = e
+            nums[_pack(exps)] = index(c)
+    return _new(nums, 1)
+
+
 # -- JSON-friendly term lists (CLI interchange) ----------------------------
 
 def poly_to_terms(p: MultiPoly) -> list:
@@ -603,39 +620,45 @@ def laplace_laurent(p: MultiPoly, order: int) -> dict:
     return out
 
 
-# -- exact Lagrange interpolation ---------------------------------------------
+# -- exact interpolation at consecutive integers -------------------------------
 
 def lagrange_interpolate(samples, degree: int | None = None, var: str = "u") -> MultiPoly:
-    """Interpolating polynomial through exact (x, y) samples.
+    """Interpolating polynomial in var through (x, y) samples at consecutive
+    integers x_0, x_0 + 1, ...
 
-    With an explicit degree bound, the first degree+1 samples determine the
-    polynomial and every remaining sample is replayed as a consistency check;
-    a mismatch raises InterpolationError (it signals a degree-bound bug in
-    the caller, not bad luck).
+    Newton's forward differences: p = sum_k D^k y_0 * C(var - x_0, k), with
+    the binomial basis built one factor at a time.  The values y are exact
+    rationals or polynomials free of var.  With an explicit degree bound,
+    every difference above the bound must vanish; a nonzero one raises
+    InterpolationError (it signals a degree-bound bug in the caller, not bad
+    luck).
     """
-    pts = [(_frac(x), _frac(y)) for x, y in samples]
-    xs = [x for x, _ in pts]
-    if len(set(xs)) != len(xs):
-        raise ValueError("sample abscissae must be distinct")
+    samples = list(samples)
+    xs = [x for x, _ in samples]
+    if not (xs and all(isinstance(x, int) for x in xs)
+            and xs == list(range(xs[0], xs[0] + len(xs)))):
+        raise ValueError("need one or more samples at consecutive integers")
     if degree is None:
-        degree = len(pts) - 1
-    if len(pts) < degree + 1:
+        degree = len(xs) - 1
+    if degree < 0:
+        raise ValueError("degree bound must be non-negative")
+    if len(xs) < degree + 1:
         raise ValueError("need at least degree+1 samples")
+    diffs = [y if isinstance(y, MultiPoly) else _frac(y) for _, y in samples]
+    if any(isinstance(y, MultiPoly) and var in y.variables_used() for y in diffs):
+        raise ValueError(f"sample values must be free of {var}")
 
-    base = pts[:degree + 1]
     x_var = MultiPoly.variable(var)
+    basis = MultiPoly.const(1)
     poly = MultiPoly.zero()
-    for i, (xi, yi) in enumerate(base):
-        if not yi:
-            continue
-        term = MultiPoly.const(yi)
-        for j, (xj, _) in enumerate(base):
-            if j != i:
-                term = term * (x_var - xj) * Fraction(1, xi - xj)
-        poly = poly + term
-
-    for x, y in pts[degree + 1:]:
-        if poly.subs({var: x}).constant_value() != y:
-            raise InterpolationError(
-                f"sample at {var}={x} is inconsistent with degree bound {degree}")
+    for k in range(degree + 1):
+        if k:
+            basis = basis * ((x_var - (xs[0] + k - 1)) * Fraction(1, k))
+        if diffs[0] != 0:
+            poly = poly + basis * diffs[0]
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    for i, d in enumerate(diffs):
+        if d != 0:
+            raise InterpolationError(f"sample at {var}={xs[degree + 1 + i]} "
+                                     f"is inconsistent with degree bound {degree}")
     return poly

@@ -95,7 +95,7 @@ def _invariant_names(raw) -> list:
     bad = [x for x in names if x not in INVARIANT_NAMES]
     if bad:
         raise ValueError(f"unknown invariant(s): {', '.join(bad)}")
-    return names
+    return list(dict.fromkeys(names))  # a repeated name counts once, at its first place
 
 
 def _render_value(value):

@@ -2,10 +2,10 @@
 
 Every recursion-computed invariant of an arbor is replayed against its
 brute-force counterpart, together with the linking identities between
-invariants.  For posets too large for full multichain interpolation the
-zeta comparison falls back to spot evaluations at m = 2, 3, 4, read off
-one multichain sweep of two zeta-matrix products, which keeps the check
-honest without the interpolation samples up to m = n+3.
+invariants.  For posets too large for the full zeta oracle (one
+interpolation through the multichain censuses at m = 2..n+3) the zeta
+comparison falls back to comparing Z(m, X) with the censuses at m = 2, 3, 4,
+read off one multichain sweep of two zeta-matrix products.
 
 The oracles hold the point poset and its zeta matrix in memory, which is
 quadratic in |P|, so cross_check refuses an arbor with more than
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import MultiPoly, laplace_laurent
+from .algebra import MultiPoly, laplace_laurent, poly_from_counts
 from .arbor import Arbor, ArborError, random_corpus, serialize_arbor
 from . import invariants, oracle
 
@@ -30,8 +30,6 @@ _SPOT_LIMIT = 1500
 # Largest |P| the oracles accept: its int64 zeta matrix takes 8 |P|^2 bytes
 # (512 MiB at the limit).  t_11 (7168 points) fits; t_12 (15360) does not.
 _MAX_POINTS = 8192
-
-_Y = MultiPoly.variable("Y")
 
 
 @dataclass
@@ -67,12 +65,9 @@ def cross_check(t: Arbor) -> list:
     if n_points <= _SPOT_LIMIT:
         out.append(_outcome(text, "zeta vs multichain oracle", z, oracle.zeta_oracle(P)))
     else:
-        x = MultiPoly.variable("X")
         for m, counts in oracle.multichain_weight_counts(P, 4).items():
-            direct = MultiPoly.zero()
-            for h, c in counts.items():
-                direct = direct + c * x ** h
-            out.append(_outcome(text, f"zeta spot m={m}", z.subs({"u": m}), direct))
+            out.append(_outcome(text, f"zeta spot m={m}", z.subs({"u": m}),
+                                poly_from_counts(counts, "X")))
 
     k = invariants.k_poly(t)
     out.append(_outcome(text, "k vs point census", k, oracle.k_oracle(P)))

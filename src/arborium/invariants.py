@@ -14,7 +14,7 @@ ehrhart_heights and laplace:
 * k_poly          nonzero-coordinate/height census K(X, Y)
 * m_triangle      Moebius triangle M(X, Y) = K(1 - 1/X, X*Y), by m_from_k
 * ehrhart_heights lattice points of the u-th dilate, counted by height
-* ehrhart         lattice-point counting polynomial, interpolated in u
+* ehrhart         lattice-point counting polynomial, Newton-interpolated in u
 * laplace         Laplace transform of the volume function, as a polynomial in E, V
 * volume          constant Laurent coefficient of the Laplace transform
 
@@ -184,11 +184,11 @@ def ehrhart_heights(t: Arbor, u: int) -> list:
 
 
 def ehrhart(t: Arbor) -> MultiPoly:
-    """Lattice-point counting polynomial, from the totals of ehrhart_heights
-    at u = 0..n+1.
+    """Lattice-point counting polynomial, Newton-interpolated from the totals
+    of ehrhart_heights at u = 0..n+1.
 
-    The first n+1 counts determine the degree-n polynomial; the count at
-    u = n+1 is replayed as an over-determination check.
+    The degree is at most n, so the (n+1)-th forward difference of the n+2
+    totals must vanish; that is the over-determination check.
     """
     n = t.size
     samples = [(u, sum(ehrhart_heights(t, u))) for u in range(n + 2)]

@@ -5,6 +5,8 @@ the defining inequalities, which both the counter and the enumerator read;
 nothing here recurses, so deep arbors need no stack.  The point poset is
 compared pairwise, multichain counts for every m come from one sweep of
 the zeta matrix, and the Moebius tables are computed from first principles.
+Every census is turned into a polynomial once, by poly_from_counts; the
+zeta oracle makes one interpolation through the censuses at m = 2..n+3.
 Everything is exact: Python integers, plus numpy in bool/int64 roles only,
 with explicit bounds that rule out int64 overflow before numpy is trusted.
 numpy is imported by the functions that use it, so importing the package
@@ -13,9 +15,9 @@ numpy is imported by the functions that use it, so importing the package
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections import Counter
 
-from .algebra import MultiPoly, lagrange_interpolate
+from .algebra import MultiPoly, lagrange_interpolate, poly_from_counts
 from .arbor import Arbor, constraints
 
 
@@ -136,18 +138,14 @@ def zeta_oracle(P: Poset) -> MultiPoly:
     """Height-weighted zeta polynomial recovered from raw multichain counts.
 
     With n the arbor's size, the top height of P, one multichain sweep
-    counts weighted multichains for m = 2..n+3 and each X-coefficient is
-    interpolated as a degree-<=n polynomial in u; the spare sample is an
-    interpolation consistency check.
+    counts weighted multichains for m = 2..n+3.  Each census is a polynomial
+    in X, and one interpolation through them gives a polynomial of degree
+    <= n in u; the spare sample is an interpolation consistency check.
     """
     n = max(P.heights)
-    X = MultiPoly.variable("X")
-    per_m = multichain_weight_counts(P, n + 3)
-    result = MultiPoly.zero()
-    for j in range(n + 1):
-        samples = [(m, counts.get(j, 0)) for m, counts in per_m.items()]
-        result = result + lagrange_interpolate(samples, degree=n, var="u") * X ** j
-    return result
+    samples = [(m, poly_from_counts(counts, "X"))
+               for m, counts in multichain_weight_counts(P, n + 3).items()]
+    return lagrange_interpolate(samples, degree=n, var="u")
 
 
 # -- Moebius function ----------------------------------------------------------
@@ -202,42 +200,21 @@ def m_triangle_oracle(P: Poset) -> MultiPoly:
     if max(int(V.max()), -int(V.min())) * n >= 2 ** 62:
         raise OverflowError(f"Moebius solve exceeds the int64 bound on |P| = {n}")
     table = (H.T @ V).tolist()  # each entry sums at most |P| entries of V
-    X = MultiPoly.variable("X")
-    Y = MultiPoly.variable("Y")
-    result = MultiPoly.zero()
-    for ha, row in enumerate(table):
-        for hb, val in enumerate(row):
-            if val:
-                result = result + Fraction(val) * X ** ha * Y ** hb
-    return result
+    return poly_from_counts({(ha, hb): val for ha, row in enumerate(table)
+                             for hb, val in enumerate(row)}, "X", "Y")
 
 
 # -- direct statistic sums -------------------------------------------------------
 
 def k_oracle(P: Poset) -> MultiPoly:
     """Sum of X^(nonzero coordinates) * Y^(coordinate sum) over the point poset."""
-    X = MultiPoly.variable("X")
-    Y = MultiPoly.variable("Y")
-    counts: dict = {}
-    for point, height in zip(P.elements, P.heights):
-        key = (sum(1 for x in point if x), height)
-        counts[key] = counts.get(key, 0) + 1
-    result = MultiPoly.zero()
-    for (nz, ht), c in counts.items():
-        result = result + Fraction(c) * X ** nz * Y ** ht
-    return result
+    counts = Counter((sum(1 for x in point if x), height)
+                     for point, height in zip(P.elements, P.heights))
+    return poly_from_counts(counts, "X", "Y")
 
 
 def height_distribution_oracle(t: Arbor, m: int) -> MultiPoly:
     """Points of the m-th dilate weighted by X^height."""
     if m < 1:
         raise ValueError("dilation factor must be >= 1")
-    X = MultiPoly.variable("X")
-    counts: dict = {}
-    for point in enumerate_points(t, m):
-        ht = sum(point)
-        counts[ht] = counts.get(ht, 0) + 1
-    result = MultiPoly.zero()
-    for ht, c in counts.items():
-        result = result + Fraction(c) * X ** ht
-    return result
+    return poly_from_counts(Counter(map(sum, enumerate_points(t, m))), "X")

@@ -85,9 +85,21 @@ class Report:
         return "\n".join(lines)
 
 
-def _compare(report: Report, lhs_terms: dict, rhs: list, check: str):
-    for n, lhs in sorted(lhs_terms.items()):
-        report.add(n, check, lhs, rhs[n])
+def _series_report(theorem: str, order: int, rhs_at, lhs_at, lhs_0=1):
+    """The "series" checks of one theorem: lhs_0 at n = 0, then lhs_at(n) for
+    n = 1..order, each against entry n of rhs_at(order).
+
+    Returns the report, {n: lhs_at(n)} and the right-hand side list.
+    """
+    if order < 1:
+        raise ValueError("order >= 1 required")
+    report = Report(theorem, order)
+    rhs = rhs_at(order)
+    report.add(0, "series", MultiPoly.const(lhs_0), rhs[0])
+    lhs = {n: lhs_at(n) for n in range(1, order + 1)}
+    for n, value in lhs.items():
+        report.add(n, "series", value, rhs[n])
+    return report, lhs, rhs
 
 
 # -- theorem right-hand sides -------------------------------------------------
@@ -130,15 +142,10 @@ def verify_zeta(order: int = DEFAULT_ORDER) -> Report:
     """Series of Z(u, 1) over the fan family versus the closed power form,
     plus the log-derivative identity G'(1-us)(1+s-us) = u*G that encodes the
     equivalent exp-integral form."""
-    if order < 1:
-        raise ValueError("order >= 1 required")
-    report = Report("zeta", order)
-    g = zeta_rhs(order + 1)  # entry n does not depend on the truncation order
-    rhs = g[:order + 1]
-    report.add(0, "series", MultiPoly.const(1), rhs[0])
-    lhs = {n: invariants.zeta_poly(make_tn(n)).subs({"X": 1})
-           for n in range(1, order + 1)}
-    _compare(report, lhs, rhs, "series")
+    # entry n of the series does not depend on the truncation order
+    report, _, g = _series_report(
+        "zeta", order, lambda k: zeta_rhs(k + 1),
+        lambda n: invariants.zeta_poly(make_tn(n)).subs({"X": 1}))
 
     derivative = [(m + 1) * g[m + 1] for m in range(order + 1)]
     quad = ((1 - _U * _S) * (1 + _S - _U * _S)).coeffs_in("s")
@@ -150,41 +157,23 @@ def verify_zeta(order: int = DEFAULT_ORDER) -> Report:
 
 
 def verify_m_triangle(order: int = DEFAULT_ORDER) -> Report:
-    if order < 1:
-        raise ValueError("order >= 1 required")
-    report = Report("m_triangle", order)
-    rhs = m_triangle_rhs(order)
-    report.add(0, "series", MultiPoly.const(1), rhs[0])
-    lhs = {n: invariants.m_triangle(make_tn(n)) for n in range(1, order + 1)}
-    _compare(report, lhs, rhs, "series")
-    return report
+    return _series_report("m_triangle", order, m_triangle_rhs,
+                          lambda n: invariants.m_triangle(make_tn(n)))[0]
 
 
 def verify_ehrhart(order: int = DEFAULT_ORDER) -> Report:
     """Closed-form counting polynomials versus the rational series; the
     closed form itself is certified against enumeration by acceptance
     criterion 3 and test_invariants.test_ehrhart_fan_closed_values."""
-    if order < 1:
-        raise ValueError("order >= 1 required")
-    report = Report("ehrhart", order)
-    rhs = ehrhart_rhs(order)
-    report.add(0, "series", MultiPoly.const(1), rhs[0])
-    lhs = {n: invariants.ehrhart_tn_closed(n) for n in range(1, order + 1)}
-    _compare(report, lhs, rhs, "series")
-    return report
+    return _series_report("ehrhart", order, ehrhart_rhs, invariants.ehrhart_tn_closed)[0]
 
 
 def verify_laplace(order: int = DEFAULT_ORDER) -> Report:
     """Truncation-recursion transforms versus the rational series, and
     against the closed form V^n (1-E)^(n-1) - V E^n."""
-    if order < 1:
-        raise ValueError("order >= 1 required")
-    report = Report("laplace", order)
-    rhs = laplace_rhs(order)
-    report.add(0, "series", MultiPoly.zero(), rhs[0])
-    lhs = {n: invariants.laplace(make_tn(n)) for n in range(1, order + 1)}
-    _compare(report, lhs, rhs, "series")
-    for n, poly in sorted(lhs.items()):
+    report, lhs, _ = _series_report("laplace", order, laplace_rhs,
+                                    lambda n: invariants.laplace(make_tn(n)), lhs_0=0)
+    for n, poly in lhs.items():
         report.add(n, "closed_form", poly, invariants.laplace_tn_closed(n))
     return report
 

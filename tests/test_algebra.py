@@ -15,6 +15,7 @@ from arborium.algebra import (
     int_binom,
     lagrange_interpolate,
     laplace_laurent,
+    poly_from_counts,
     poly_from_terms,
     poly_to_terms,
     series_expand_rational,
@@ -235,6 +236,58 @@ def test_lagrange_overdetermined_consistency():
         lagrange_interpolate(bad, degree=2)
     with pytest.raises(ValueError):
         lagrange_interpolate([(0, 1), (0, 2)])
+
+
+def test_lagrange_polynomial_values_interpolate_each_coefficient():
+    rng = random.Random(11)
+    for x0 in (-3, 0, 2):
+        values = [random_poly(rng, variables=(X, Y)) for _ in range(5)]
+        expected = MultiPoly.zero()
+        for key in set().union(*(y.terms for y in values)):
+            coeff = lagrange_interpolate([(x0 + i, y.terms.get(key, 0))
+                                          for i, y in enumerate(values)])
+            expected = expected + coeff * MultiPoly.monomial(key)
+        assert lagrange_interpolate([(x0 + i, y) for i, y in enumerate(values)]) == expected
+
+
+def test_lagrange_polynomial_values_spare_sample_checked():
+    values = [X + m * Y for m in range(4)]
+    assert lagrange_interpolate(list(enumerate(values)), degree=1) == X + u * Y
+    with pytest.raises(InterpolationError, match="u=3"):
+        lagrange_interpolate(list(enumerate(values[:3] + [X])), degree=1)
+    with pytest.raises(ValueError, match="free of u"):
+        lagrange_interpolate([(0, X), (1, u)])
+
+
+def test_lagrange_inconsistent_spare_sample():
+    samples = [(m, m ** 3) for m in range(-2, 3)]
+    with pytest.raises(InterpolationError, match="u=1"):
+        lagrange_interpolate(samples, degree=2)
+    assert lagrange_interpolate(samples, degree=3) == u ** 3
+
+
+@pytest.mark.parametrize("samples,degree", [
+    ([(0, 1), (0, 2)], None),                       # duplicate
+    ([(0, 1), (2, 2)], None),                       # gapped
+    ([(1, 1), (0, 2)], None),                       # descending
+    ([(Fraction(1, 2), 1), (Fraction(3, 2), 2)], None),  # non-integer
+    ([], None),                                     # empty
+    ([(0, 1)], -1),                                 # negative degree
+    ([(0, 1), (1, 2)], 2),                          # too few samples
+])
+def test_lagrange_rejects_bad_samples(samples, degree):
+    with pytest.raises(ValueError) as info:
+        lagrange_interpolate(samples, degree=degree)
+    assert not isinstance(info.value, InterpolationError)
+
+
+def test_poly_from_counts():
+    assert poly_from_counts({}, "X") == MultiPoly.zero()
+    assert poly_from_counts({0: 2, 3: 0, 1: -5}, "X") == 2 - 5 * X
+    assert poly_from_counts({(1, 2): 3, (0, 0): 1}, "X", "Y") == 1 + 3 * X * Y ** 2
+    assert poly_from_counts({(2, 1): 4}, "Y", "X") == 4 * X * Y ** 2
+    with pytest.raises(ValueError):
+        poly_from_counts({(1, 2, 3): 1}, "X", "Y")
 
 
 def test_canonical_text():

@@ -52,6 +52,20 @@ def test_compute_multiple_invariants(capsys):
     assert lines["volume"] == "3/2"
 
 
+def test_compute_repeated_invariant_counts_once(capsys):
+    _, single, _ = run(capsys, "compute", "--arbor", "{1}", "--invariant", "zeta")
+    for argv in (("--invariant", "zeta", "--invariant", "zeta"), ("--invariant", "zeta,zeta")):
+        code, out, _ = run(capsys, "compute", "--arbor", "{1}", *argv)
+        assert (code, out) == (0, single)
+    code, out, _ = run(capsys, "compute", "--tn", "2", "--invariant", "volume,ehrhart,volume")
+    assert code == 0
+    assert [line.split(": ")[0] for line in out.splitlines()] == ["volume", "ehrhart"]
+    code, out, _ = run(capsys, "compute", "--tn", "2", "--invariant", "volume",
+                       "--invariant", "volume,ehrhart", "--format", "json")
+    assert code == 0
+    assert list(json.loads(out)["invariants"]) == ["volume", "ehrhart"]
+
+
 def test_compute_json_roundtrip(capsys):
     code, out, _ = run(capsys, "compute", "--tn", "3", "--format", "json")
     assert code == 0

@@ -11,7 +11,13 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from arborium.algebra import VARIABLES, ExactDivisionError, MultiPoly, series_expand_rational
+from arborium.algebra import (
+    VARIABLES,
+    ExactDivisionError,
+    MultiPoly,
+    lagrange_interpolate,
+    series_expand_rational,
+)
 from arborium.invariants import m_from_k
 
 SYMBOLS = sympy.symbols(VARIABLES)
@@ -142,3 +148,14 @@ def test_series_expand_rational_matches_sympy_series(num, d0, tail, order):
     got = series_expand_rational(num, den, order)
     for m in range(order + 1):
         assert got[m] == from_sympy(expected.coeff(ss, m))
+
+
+# -- interpolation at consecutive integers -------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-5, 5), st.lists(st.one_of(small_ints, coefficients), min_size=1, max_size=9))
+def test_lagrange_interpolate_matches_sympy(x0, values):
+    su = SYMBOLS[VARIABLES.index("u")]
+    points = [(x0 + i, y) for i, y in enumerate(values)]
+    expected = sympy.interpolate([(x, sympy.Rational(y)) for x, y in points], su)
+    assert lagrange_interpolate(points) == from_sympy(expected)
