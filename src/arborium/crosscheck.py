@@ -27,8 +27,10 @@ from . import invariants, oracle
 # multichain evaluations instead.
 _SPOT_LIMIT = 1500
 
-# Largest |P| the oracles accept: its int64 zeta matrix takes 8 |P|^2 bytes
-# (512 MiB at the limit).  t_11 (7168 points) fits; t_12 (15360) does not.
+# Largest |P| the oracles accept, and the largest that the multichain
+# sweep's float64 residues keep exact.  The poset holds a |P|^2 bool matrix
+# and the sweep one float64 copy of it, 9 |P|^2 bytes together (576 MiB at
+# the limit).  t_11 (7168 points) fits; t_12 (15360) does not.
 _MAX_POINTS = 8192
 
 
@@ -76,7 +78,8 @@ def cross_check(t: Arbor) -> list:
     out.append(_outcome(text, "m vs moebius oracle", m_tri, oracle.m_triangle_oracle(P)))
     out.append(_outcome(text, "m at X=1", m_tri.subs({"X": 1}), MultiPoly.const(1)))
 
-    low = min(laplace_laurent(invariants.laplace(t), 0), default=0)
+    window = laplace_laurent(invariants.laplace(t), 0)
+    low = min(window, default=0)
     out.append(CheckOutcome(text, "laplace entire", low >= 0,
                             "" if low >= 0 else f"min degree {low}"))
 
@@ -91,7 +94,7 @@ def cross_check(t: Arbor) -> list:
                                 e.subs({"u": u}).constant_value(),
                                 oracle.count_points(t, u)))
         out.append(_outcome(text, "volume vs ehrhart leading",
-                            invariants.volume(t),
+                            invariants._laurent_volume(window),
                             e.coeffs_in("u").get(t.size, MultiPoly.zero()).constant_value()))
         size_identities.append(("ehrhart at u=1", e.subs({"u": 1}).constant_value()))
     for name, value in size_identities:

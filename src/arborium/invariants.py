@@ -257,12 +257,17 @@ def laplace_tn_closed(n: int) -> MultiPoly:
 
 def volume(t: Arbor) -> Fraction:
     """Volume of the tree polytope: the constant Laurent coefficient of the
-    Laplace transform.  A negative Laurent degree would mean the transform
-    is not entire and is reported as a contract violation."""
-    series = laplace_laurent(laplace(t), 0)
-    if min(series, default=0) < 0:
+    Laplace transform."""
+    return _laurent_volume(laplace_laurent(laplace(t), 0))
+
+
+def _laurent_volume(window: dict) -> Fraction:
+    """The volume read off a Laplace transform's Laurent window up to v^0
+    (laplace_laurent(laplace(t), 0)).  A negative Laurent degree would mean
+    the transform is not entire and is reported as a contract violation."""
+    if min(window, default=0) < 0:
         raise ValueError("Laplace transform has negative Laurent degree")
-    return series.get(0, Fraction(0))
+    return window.get(0, Fraction(0))
 
 
 # -- by name -----------------------------------------------------------------------

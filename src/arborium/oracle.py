@@ -2,20 +2,25 @@
 
 Lattice points of dilated tree polytopes come from one iterative walk over
 the defining inequalities, which both the counter and the enumerator read;
-nothing here recurses, so deep arbors need no stack.  The point poset is
-compared pairwise, multichain counts for every m come from one sweep of
-the zeta matrix, and the Moebius tables are computed from first principles.
-Every census is turned into a polynomial once, by poly_from_counts; the
-zeta oracle makes one interpolation through the censuses at m = 2..n+3.
-Everything is exact: Python integers, plus numpy in bool/int64 roles only,
-with explicit bounds that rule out int64 overflow before numpy is trusted.
-numpy is imported by the functions that use it, so importing the package
-(and the CLI's verify and compute paths) does not load it.
+nothing here recurses, so deep arbors need no stack.  The order of the
+point poset is an AND of bit-packed per-coordinate up-sets, multichain
+counts for every m come from one sweep of the zeta matrix, and the Moebius
+tables are computed from first principles.  Every census is turned into a
+polynomial once, by poly_from_counts; the zeta oracle makes one
+interpolation through the censuses at m = 2..n+3.  Everything is exact:
+Python integers, numpy bool and int64 arrays under explicit bounds that
+rule out int64 overflow, and float64 only for residues modulo primes below
+2^53 / |P|, whose sums of |P| terms are exact integers (recombined by the
+Chinese remainder theorem).  numpy is imported by the functions that use
+it, so importing the package (and the CLI's verify and compute paths) does
+not load it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from math import prod
+from operator import mul
 
 from .algebra import MultiPoly, lagrange_interpolate, poly_from_counts
 from .arbor import Arbor, constraints
@@ -94,43 +99,73 @@ def build_poset(t: Arbor) -> Poset:
     n = len(points)
     arr = np.array(points, dtype=np.int64).reshape(n, t.size)
     heights = [int(h) for h in arr.sum(axis=1)]
-    # Lex order is a linear extension of <=, so only the upper triangle is compared.
-    leq = np.zeros((n, n), dtype=bool)
-    chunk = max(1, (1 << 22) // max(1, n * t.size))
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        leq[start:stop, start:] = (arr[start:stop, None, :] <= arr[None, start:, :]).all(axis=2)
+    # a <= b iff b lies in the up-set {col_j >= a_j} of every coordinate j.
+    # Row v of a coordinate's table is that up-set as packed bits over the
+    # points, so a packed row of leq is the AND of one table row per coordinate.
+    packed = np.full((n, (n + 7) // 8), 0xFF, dtype=np.uint8)
+    for col in arr.T:
+        packed &= np.packbits(np.arange(col.max() + 1)[:, None] <= col, axis=1)[col]
+    leq = np.unpackbits(packed, axis=1, count=n).view(bool)
     return Poset(points, heights, leq)
 
 
 # -- multichain counting -------------------------------------------------------
+
+# The largest primes below 2^40, largest first.  Each satisfies
+# p * 8192 <= 2^53, so for |P| <= 8192 every float64 sum of |P| residues is
+# an exact integer; six of them cover every census up to 2^239.
+_PRIMES = (1099511627689, 1099511627609, 1099511627581,
+           1099511627573, 1099511627563, 1099511627491)
+
+
+def _moduli(size: int, top: int) -> tuple:
+    """The fewest primes of _PRIMES whose product exceeds size^(top-1)."""
+    if size * _PRIMES[0] > 2 ** 53:
+        raise ValueError(f"|P| = {size} is too large for exact float64 residues")
+    bound, modulus = size ** (top - 1), 1
+    for k, p in enumerate(_PRIMES, 1):
+        modulus *= p
+        if modulus > bound:
+            return _PRIMES[:k]
+    raise ValueError(f"multichain counts up to {size}^{top - 1} exceed the residue table")
+
 
 def multichain_weight_counts(P: Poset, top: int) -> dict:
     """Weighted multichain census for every integer m = 2..top.
 
     Returns {m: {height h: number of multichains e_1 <= ... <= e_{m-1} whose
     top element has height h}}.  One sweep from the all-ones vector applies
-    the zeta matrix once per step, so census m reads the vector after m-2
-    products.  Every count of census m is at most |P|^(m-1), so int64 numpy
-    products are exact while that bound is below 2^62; from the first m
-    where it is not, the sweep continues on object arrays of Python integers.
+    the zeta matrix Z once per step, so census m reads the vector after m-2
+    products, binned by height through the 0/1 matrix H[b, h] = [ht(b) = h].
+
+    The sweep runs in float64 modulo k primes p at once, vec = fmod(vec @ Z, p).
+    Every entry of vec is below p and Z and H are 0/1, so every partial sum
+    of vec @ Z and vec @ H, in whatever order BLAS adds, is an integer below
+    |P| * p <= 2^53 and thus exact; the binned sums are congruent to the
+    counts modulo p.  Every count of census m is at most |P|^(m-1), and the
+    primes are the fewest whose product exceeds |P|^(top-1), so the Chinese
+    remainder theorem recovers each count exactly as a Python int.  A poset
+    too large for the prime table raises ValueError before any array is built.
     """
     import numpy as np
 
     if top < 2:
         raise ValueError("multichains need m >= 2")
-    vec = np.ones(P.size, dtype=np.int64)
-    zmat = P.leq.astype(np.int64)
+    primes = _moduli(P.size, top)
+    modulus = prod(primes)
+    weights = [modulus // p * pow(modulus // p, -1, p) for p in primes]
+    column = {h: j for j, h in enumerate(dict.fromkeys(P.heights))}
+    hmat = np.eye(len(column))[[column[h] for h in P.heights]]
+    zmat = P.leq.astype(np.float64)
+    mods = np.array(primes, dtype=np.float64)[:, None]
+    vec = np.ones((len(primes), P.size))
     out = {}
     for m in range(2, top + 1):
         if m > 2:
-            if vec.dtype != object and P.size ** (m - 1) >= 2 ** 62:
-                vec, zmat = vec.astype(object), zmat.astype(object)
-            vec = vec @ zmat
-        counts: dict = {}
-        for h, c in zip(P.heights, vec.tolist()):
-            counts[h] = counts.get(h, 0) + c
-        out[m] = counts
+            vec = np.fmod(vec @ zmat, mods)
+        binned = (vec @ hmat).astype(np.int64).T.tolist()
+        out[m] = {h: sum(map(mul, residues, weights)) % modulus
+                  for h, residues in zip(column, binned)}
     return out
 
 

@@ -3,15 +3,20 @@
 import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from arborium.algebra import MultiPoly, gens
 from arborium.arbor import Arbor, constraints, make_tn, parse_arbor, random_arbor, random_corpus
+from arborium.crosscheck import _MAX_POINTS
 from arborium.oracle import (
+    _PRIMES,
     Poset,
+    _moduli,
     build_poset,
     count_points,
     enumerate_points,
@@ -78,6 +83,19 @@ def test_poset_order_is_the_full_pairwise_comparison():
             rows = arr[start:start + 256, None, :]
             full = (rows <= arr[None, :, :]).all(axis=2)
             assert np.array_equal(P.leq[start:start + 256], full), t
+
+
+def test_poset_packing_edge_cases():
+    # |P| off a byte boundary (t_1: 2 points, t_2: 5), coordinates up to 5
+    # (one root block of five labels), the fan t_6 and a 6-deep path
+    cases = [make_tn(1), make_tn(2), parse_arbor("{1,2,3,4,5}"), make_tn(6),
+             parse_arbor("{1}({2}({3}({4}({5}({6})))))")]
+    for t in cases:
+        P = build_poset(t)
+        pairwise = [[all(x <= y for x, y in zip(a, b)) for b in P.elements] for a in P.elements]
+        assert P.leq.dtype == bool and P.leq.tolist() == pairwise, t
+    assert [build_poset(t).size for t in cases[:2]] == [2, 5]
+    assert max(map(max, build_poset(cases[2]).elements)) == 5
 
 
 def test_poset_structure_fan_two():
@@ -175,7 +193,8 @@ def test_multichain_counts_basics():
 
 
 def test_multichain_counts_on_both_sides_of_the_int64_bound():
-    # |P| = 5: int64 counting up to m = 27 (5^26 < 2^62), Python ints from m = 28.
+    # |P| = 5: the bound 5^29 exceeds one prime, so the sweep carries two
+    # residues; the counts themselves grow only quadratically in m.
     P = build_poset(make_tn(2))
     census = multichain_weight_counts(P, 30)
     assert list(census) == list(range(2, 31))
@@ -189,10 +208,64 @@ def test_multichain_counts_on_both_sides_of_the_int64_bound():
         assert got == expected and all(type(c) is int for c in got.values()), m
         totals = [sum(totals[a] for a in below[b]) for b in range(P.size)]
     # A 64-element chain: C(b+m-2, m-2) multichains end at element b, which
-    # passes 2^63 from m = 23 (b = 63); Python ints take over from m = 12.
+    # passes 2^63 from m = 23 (b = 63); 64^29 needs five primes.
     chain = Poset(list(range(64)), list(range(64)), np.triu(np.ones((64, 64), dtype=bool)))
     for m, got in multichain_weight_counts(chain, 30).items():
         assert got == {b: comb(b + m - 2, m - 2) for b in range(64)}, m
+
+
+def _plain_census(P, top):
+    # the sweep's reference: Python-int totals over the leq matrix, one m at a time
+    below = [np.nonzero(P.leq[:, b])[0].tolist() for b in range(P.size)]
+    totals = [1] * P.size
+    census = {}
+    for m in range(2, top + 1):
+        if m > 2:
+            totals = [sum(totals[a] for a in below[b]) for b in range(P.size)]
+        counts: dict = {}
+        for h, c in zip(P.heights, totals):
+            counts[h] = counts.get(h, 0) + c
+        census[m] = counts
+    return census
+
+
+def test_residue_primes():
+    assert list(_PRIMES) == sorted(set(_PRIMES), reverse=True)
+    for p in _PRIMES:
+        assert sympy.isprime(p) and p * _MAX_POINTS <= 2 ** 53
+    # cross_check's largest census: |P| <= _MAX_POINTS and top = n + 3 with
+    # 2^n <= _MAX_POINTS, so n <= 13
+    n = _MAX_POINTS.bit_length() - 1
+    assert n == 13 and prod(_PRIMES) > _MAX_POINTS ** (n + 3 - 1)
+    assert _moduli(_MAX_POINTS, n + 3) == _PRIMES[:5]
+
+
+def test_residue_primes_are_the_fewest_that_cover():
+    assert _moduli(2, 12) == _PRIMES[:1]
+    assert _moduli(5, 30) == _PRIMES[:2]
+    assert _moduli(3464, 11) == _PRIMES[:3]
+    with pytest.raises(ValueError):
+        _moduli(2, 300)  # 2^299 exceeds the table's product
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2 ** 32), st.integers(2, 12))
+@example(1, 0, 12)  # |P| = 2: one prime
+@example(3, 0, 12)  # two primes
+@example(6, 0, 12)  # three primes
+def test_multichain_counts_match_the_plain_loop(size, seed, top):
+    P = build_poset(random_arbor(size, random.Random(seed)))
+    census = multichain_weight_counts(P, top)
+    assert census == _plain_census(P, top)
+    assert all(list(got) == list(dict.fromkeys(P.heights)) for got in census.values())
+    assert all(type(c) is int for got in census.values() for c in got.values())
+
+
+def test_multichain_counts_refuse_a_poset_beyond_the_residue_bound():
+    # leq is a placeholder: the size check must come before any array is built
+    P = Poset(list(range(_MAX_POINTS + 1)), [0] * (_MAX_POINTS + 1), None)
+    with pytest.raises(ValueError):
+        multichain_weight_counts(P, 2)
 
 
 def test_multichain_totals_monotone():
