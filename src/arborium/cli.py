@@ -15,6 +15,7 @@ before any work starts; a larger input is a usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -25,13 +26,13 @@ from .crosscheck import corpus_check, cross_check
 from .invariants import INVARIANT_NAMES, compute_invariants
 from .verify import DEFAULT_ORDER, THEOREMS, VERIFIERS
 
-# Input limits.  Each is set so that the largest accepted input ends in about
-# 10 s; the times are single runs on a shared 2-CPU VM with CPython 3.11.
+# Input limits.  Each is set so that the largest accepted input ends within
+# about 10 s; the times are single runs on a shared 2-CPU VM with CPython 3.11.
 MAX_ORDER = 52          # verify --order / ARBORIUM_ORDER: all four theorems, 8.6 s
 MAX_COMPUTE_SIZE = 30   # compute --tn / --arbor size: every invariant of the 30-deep
                         # path, 7.4 s (Ehrhart 6.7 s; it grows as size^6); t_30 1.6 s
 MAX_TN = 800_000        # tn N: 10.4 s, mostly building and validating the arbor
-MAX_PER_SIZE = 40       # oracle-check --per-size: 9.6 s on the default seed
+MAX_PER_SIZE = 40       # oracle-check --per-size: 1.5-1.7 s on the default seed
 
 
 def _default_order() -> int:
@@ -44,7 +45,13 @@ def _default_order() -> int:
         raise ValueError(f"ARBORIUM_ORDER must be an integer, got {raw!r}") from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+
+    Parsing leaves no state in the parser, and building it takes about 15
+    times as long as one parse, which a process making many main() calls
+    would otherwise pay on every call."""
     parser = argparse.ArgumentParser(
         prog="arborium",
         description="Exact poset and polytope invariants of arbors.")

@@ -23,8 +23,11 @@ from .arbor import Arbor, ArborError, random_corpus, serialize_arbor
 from . import invariants, oracle
 
 # Above this poset size, skip full zeta interpolation and the Ehrhart and
-# volume checks, whose count_points oracle at u <= 4 is costly; use spot
-# multichain evaluations instead.
+# volume checks and use spot multichain evaluations instead.  The skipped
+# checks are no longer costly: on the figure arbor (|P| = 3464) count_points
+# takes 0.01 / 0.07 / 0.22-0.35 s at u = 2 / 3 / 4 and the full zeta oracle,
+# build included, about 0.1 s (best of 3, shared 2-CPU VM).  The limit stays
+# until perfbench/pinned.json re-pins the figure arbor's output.
 _SPOT_LIMIT = 1500
 
 # Largest |P| the oracles accept, and the largest that the multichain

@@ -1,9 +1,12 @@
 """Brute-force ground truth, independent of the recursion machinery.
 
 Lattice points of dilated tree polytopes come from one iterative walk over
-the defining inequalities, which both the counter and the enumerator read;
-nothing here recurses, so deep arbors need no stack.  The order of the
-point poset is an AND of bit-packed per-coordinate up-sets, multichain
+the defining inequalities, which both the counter and the enumerator read.
+It fixes one coordinate per step for a whole block of prefixes at once, in
+int64 numpy arrays, depth-first over blocks of at most _BLOCK rows, so the
+counter's memory is bounded by the block size, not by the number of
+points; nothing here recurses, so deep arbors need no stack.  The order of
+the point poset is an AND of bit-packed per-coordinate up-sets, multichain
 counts for every m come from one sweep of the zeta matrix, and the Moebius
 tables are computed from first principles.  Every census is turned into a
 polynomial once, by poly_from_counts; the zeta oracle makes one
@@ -26,54 +29,91 @@ from .algebra import MultiPoly, lagrange_interpolate, poly_from_counts
 from .arbor import Arbor, constraints
 
 
-def _walk(t: Arbor, u: int):
-    """Yield (prefix, cap) for every feasible choice of the first n-1
-    coordinates of a point of the u-th dilate, in lexicographic order.
+# The most prefixes one step of the lattice walk creates; it bounds the
+# walk's memory.
+_BLOCK = 4096
 
-    The points with that prefix are prefix + (v,) for v = 0..cap.  An
-    odometer over the coordinates: each constraint keeps its remaining
-    budget, so a coordinate's range is the least budget among the
-    constraints it enters, and every prefix it yields is feasible.
+
+def _children(rows, lo, taken):
+    """Repeat row i of rows taken[i] times; the copies of row i take the
+    values lo[i], lo[i] + 1, ... (lo may be a scalar)."""
+    import numpy as np
+
+    ends = taken.cumsum()
+    vals = np.arange(ends[-1]) + (lo - ends + taken).repeat(taken)
+    return rows.repeat(taken, axis=0), vals
+
+
+def _prefix_blocks(t: Arbor, u: int):
+    """Yield (prefixes, caps) for the feasible choices of the first n-1
+    coordinates of a point of the u-th dilate, in lexicographic order, in
+    blocks of at most _BLOCK rows.
+
+    The points with prefix row i are prefix + (v,) for v = 0..caps[i].  A
+    row holds each constraint's remaining budget, then the coordinates
+    chosen so far; a coordinate's cap is the least budget among the
+    constraints it enters.  A step pops the top block of prefixes of one
+    length and expands at most _BLOCK children from its lex-first rows,
+    pushing back the rest under the children (the first row left may keep
+    only the upper part of its range, from its start value lo), so the walk
+    runs depth-first in lex order over at most n + 1 blocks at a time.
+    Budgets, caps and block sums are int64: u * n must stay below
+    2^62 / _BLOCK (2^50), else ValueError.
     """
+    import numpy as np
+
     if u < 0:
         raise ValueError("dilation factor must be >= 0")
+    n = t.size
+    if u * n >= 2 ** 62 // _BLOCK:
+        raise ValueError(f"u * n = {u * n} exceeds the int64 bound 2^62 / {_BLOCK} "
+                         "of the lattice walk")
     cons = constraints(t)
-    budgets = [u * c.bound for c in cons]
-    per_label = [
-        [ci for ci, c in enumerate(cons) if lab in c.support]
-        for lab in range(1, t.size + 1)
-    ]
-    budget = budgets.__getitem__
-    last = t.size - 1
-    point = [0] * last
-    caps = [0] * last
-    i = 0
-    while True:
-        for j in range(i, last):
-            caps[j] = min(map(budget, per_label[j]))
-        yield tuple(point), min(map(budget, per_label[last]))
-        i = last - 1
-        while i >= 0 and point[i] == caps[i]:
-            for ci in per_label[i]:
-                budgets[ci] += point[i]
-            point[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        point[i] += 1
-        for ci in per_label[i]:
-            budgets[ci] -= 1
-        i += 1
+    m = len(cons)
+    cols = [[] for _ in range(n)]  # the constraints that coordinate j enters
+    for ci, c in enumerate(cons):
+        for lab in c.support:
+            cols[lab - 1].append(ci)
+    root = np.zeros((1, m + n), dtype=np.int64)
+    root[0, :m] = [u * c.bound for c in cons]
+    last = n - 1
+    stack = [(0, root, 0)]
+    while stack:
+        j, rows, lo = stack.pop()
+        caps = rows[:, cols[j]].min(axis=1)
+        if j == last:
+            yield rows[:, m:m + last], caps
+            continue
+        taken = caps + 1 - lo
+        ends = taken.cumsum()
+        if ends[-1] > _BLOCK:
+            taken = np.minimum(ends, _BLOCK) - np.minimum(ends - taken, _BLOCK)
+            k = int(np.searchsorted(ends, _BLOCK, side="right"))
+            stack.append((j, rows[k:], (lo + taken)[k:]))
+        kids, vals = _children(rows, lo, taken)
+        kids[:, m + j] = vals
+        kids[:, cols[j]] -= vals[:, None]
+        stack.append((j + 1, kids, 0))
 
 
 def enumerate_points(t: Arbor, u: int) -> list:
-    """All integer points of the u-th dilate, in lexicographic order."""
-    return [prefix + (v,) for prefix, cap in _walk(t, u) for v in range(cap + 1)]
+    """All integer points of the u-th dilate, in lexicographic order.
+
+    ValueError if u < 0 or u * n reaches 2^62 / _BLOCK."""
+    import numpy as np
+
+    points = []
+    for prefixes, caps in _prefix_blocks(t, u):
+        rows, vals = _children(prefixes, 0, caps + 1)
+        points.extend(map(tuple, np.column_stack((rows, vals)).tolist()))
+    return points
 
 
 def count_points(t: Arbor, u: int) -> int:
-    """|u-th dilate ∩ Z^n| without materializing the points."""
-    return sum(cap + 1 for _, cap in _walk(t, u))
+    """|u-th dilate ∩ Z^n| as a Python int, without materializing the points.
+
+    ValueError if u < 0 or u * n reaches 2^62 / _BLOCK."""
+    return sum(int(caps.sum()) + len(caps) for _, caps in _prefix_blocks(t, u))
 
 
 class Poset:

@@ -13,7 +13,7 @@ import pytest
 from arborium import invariants
 from arborium.algebra import gens, poly_from_terms
 from arborium.arbor import ArborError, make_tn, parse_arbor
-from arborium.cli import MAX_COMPUTE_SIZE, MAX_ORDER, MAX_PER_SIZE, MAX_TN, main
+from arborium.cli import MAX_COMPUTE_SIZE, MAX_ORDER, MAX_PER_SIZE, MAX_TN, build_parser, main
 from arborium.crosscheck import cross_check
 from arborium.invariants import ehrhart, laplace, m_triangle
 
@@ -260,12 +260,33 @@ def test_tn_command(capsys):
     assert code == 2
 
 
-def test_cli_import_does_not_load_numpy():
-    # numpy is loaded by the oracle functions only; verify and compute never need it.
+def run_fresh(*args):
+    """(exit code, stdout, stderr) of a new Python process with src/ on its path."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}"}
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_successive_main_calls_match_fresh_processes(capsys, monkeypatch):
+    # main() shares one parser across calls; an option given in one call must
+    # not leak into the next, so each output equals that of a new process
+    monkeypatch.delenv("ARBORIUM_ORDER", raising=False)
+    calls = [
+        ("verify", "--theorem", "zeta", "--order", "4"),
+        ("verify", "--order", "4"),
+        ("compute", "--tn", "3", "--invariant", "volume"),
+        ("compute", "--tn", "3"),
+    ]
+    for argv in calls:
+        assert run(capsys, *argv) == run_fresh("-m", "arborium.cli", *argv), argv
+    assert build_parser() is build_parser()
+
+
+def test_cli_import_does_not_load_numpy():
+    # numpy is loaded by the oracle functions only; verify and compute never need it.
     probe = "import sys, arborium.cli; print('numpy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    code, out, err = run_fresh("-c", probe)
+    assert code == 0, err
+    assert out.strip() == "False"

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb, prod
 
@@ -10,6 +11,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
+from arborium import oracle
 from arborium.algebra import MultiPoly, gens
 from arborium.arbor import Arbor, constraints, make_tn, parse_arbor, random_arbor, random_corpus
 from arborium.crosscheck import _MAX_POINTS
@@ -71,6 +73,70 @@ def test_count_and_enumerate_have_no_depth_limit():
     path = Arbor(0, {i: {i + 1} for i in range(n)}, {i: [i + 1] for i in range(n - 1)})
     assert count_points(path, 0) == 1
     assert enumerate_points(path, 0) == [(0,) * n]
+
+
+def _filtered_box(t, dil):
+    # reference independent of the walk, vectorized: every point of the box
+    # where each coordinate is at most dil times the smallest support bound
+    # containing it, in lex order, kept when it meets each subtree inequality
+    cons = constraints(t)
+    shape = [dil * min(c.bound for c in cons if lab in c.support) + 1
+             for lab in range(1, t.size + 1)]
+    box = np.indices(shape).reshape(t.size, -1).T
+    keep = np.ones(len(box), dtype=bool)
+    for c in cons:
+        keep &= box[:, [lab - 1 for lab in c.support]].sum(axis=1) <= dil * c.bound
+    return list(map(tuple, box[keep].tolist()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2 ** 32), st.integers(0, 3))
+@example(5, 0, 3)
+def test_walk_matches_the_filtered_box(size, seed, dil):
+    t = random_arbor(size, random.Random(seed))
+    expected = _filtered_box(t, dil)
+    assert enumerate_points(t, dil) == expected
+    count = count_points(t, dil)
+    assert type(count) is int and count == len(expected)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_walk_blocks_keep_the_points_and_their_order(monkeypatch, block):
+    # blocks of 1-3 rows split every expansion, most of them inside one
+    # prefix's range of values
+    cases = [(t, dil) for t in random_corpus(20260809, sizes=range(1, 6), per_size=2)
+             for dil in range(3)]
+    cases += [(make_tn(2), 7), (parse_arbor("{1,2}({3}({6,7},{8}),{4,5})"), 1)]
+    expected = [(enumerate_points(t, dil), count_points(t, dil)) for t, dil in cases]
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    for (t, dil), (points, count) in zip(cases, expected):
+        got = enumerate_points(t, dil)
+        assert got == points and got == sorted(set(got)), (t, dil)
+        assert count_points(t, dil) == count == len(points), (t, dil)
+
+
+def test_count_points_memory_is_bounded_by_the_block():
+    # 14.7 million points; the walk holds at most n + 1 blocks of prefixes
+    t = parse_arbor("{1,2}({3}({6,7},{8}),{4,5})")
+    tracemalloc.start()
+    try:
+        count = count_points(t, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 14681700
+    assert peak < 32 * 2 ** 20, peak
+
+
+def test_count_points_refuses_an_int64_overflow():
+    # budgets, caps and block sums are int64: u * n must stay below 2^62 / _BLOCK
+    bound = 2 ** 62 // oracle._BLOCK
+    assert count_points(make_tn(1), bound - 1) == bound
+    for t, dil in ((make_tn(1), 2 ** 62), (make_tn(1), bound), (make_tn(2), bound // 2)):
+        with pytest.raises(ValueError):
+            count_points(t, dil)
+        with pytest.raises(ValueError):
+            enumerate_points(t, dil)
 
 
 def test_poset_order_is_the_full_pairwise_comparison():
