@@ -15,12 +15,13 @@ exponent tuple).  Coefficients are integer numerators over one positive
 common denominator that shares no factor with all of them, so equal
 polynomials have equal representations.  Every total degree stays below
 DEGREE_LIMIT, which keeps each field in range; a product that would reach
-it raises OverflowError.
+it raises OverflowError.  Other modules read and write terms through
+poly_counts and poly_from_counts; the terms view is for tests and tools.
 """
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Mapping
+from collections.abc import Mapping
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import index
@@ -99,14 +100,6 @@ def _from_fractions(coeffs: dict) -> "MultiPoly":
     return _reduced({k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}, den)
 
 
-class _TermItems(ItemsView):
-    def __iter__(self):
-        p = self._mapping._poly
-        den = p._den
-        for key, num in p._nums.items():
-            yield _unpack(key), Fraction(num, den)
-
-
 class _Terms(Mapping):
     """Read-only view {exponent tuple: Fraction} of a polynomial's terms."""
 
@@ -128,33 +121,23 @@ class _Terms(Mapping):
             raise KeyError(exps) from None
         return Fraction(self._poly._nums[key], self._poly._den)
 
-    def items(self):
-        return _TermItems(self)
-
 
 class MultiPoly:
     """Sparse polynomial in u, X, Y, E, V, s, v with rational coefficients.
 
     Stored as {packed monomial key: integer numerator} over one common
-    denominator (see the module docstring); ``terms`` is a read-only
-    {exponent tuple: Fraction} view of the same terms.  Instances are
-    immutable; every operation returns a new polynomial.
+    denominator (see the module docstring).  Instances are immutable;
+    every operation returns a new polynomial.
     """
 
     __slots__ = ("_nums", "_den")
 
     def __init__(self, terms=None):
-        coeffs = {}
-        if terms:
-            for exps, coeff in terms.items():
-                c = _frac(coeff)
-                if c:
-                    coeffs[_pack(exps)] = c
-        p = _from_fractions(coeffs)
-        self._nums = p._nums
-        self._den = p._den
+        p = poly_from_counts(terms or {}, *VARIABLES)
+        self._nums, self._den = p._nums, p._den
 
-    terms = property(_Terms, doc="Read-only {exponent tuple: Fraction} view of the terms.")
+    terms = property(_Terms, doc="Read-only {exponent tuple: Fraction} view of the terms, "
+                                 "for tests and tools; library code uses poly_counts.")
 
     # -- constructors ----------------------------------------------------
 
@@ -173,9 +156,7 @@ class MultiPoly:
 
     @classmethod
     def monomial(cls, exps, coeff=1) -> "MultiPoly":
-        key = _pack(exps)
-        c = _frac(coeff)
-        return _new({key: c.numerator} if c else {}, c.denominator)
+        return poly_from_counts({tuple(exps): coeff}, *VARIABLES)
 
     # -- ring operations --------------------------------------------------
 
@@ -459,20 +440,37 @@ def gens() -> tuple:
 
 
 def poly_from_counts(counts, *names) -> MultiPoly:
-    """Census polynomial: the sum of c * name_1^e_1 * ... over {key: integer c}.
+    """Census polynomial: the sum of c * name_1^e_1 * ... over {key: c}.
 
     A key is one exponent when one variable is named, else a tuple with one
-    exponent per name; zero counts are dropped.
+    exponent per name; a count is an int or a Fraction, and zero counts are
+    dropped.  poly_counts is the inverse.
     """
     slots = [_VAR_INDEX[name] for name in names]
     exps = [0] * _NVARS
-    nums = {}
+    coeffs = {}
     for key, c in counts.items():
-        if c:
-            for slot, e in zip(slots, key if len(slots) > 1 else (key,), strict=True):
-                exps[slot] = e
-            nums[_pack(exps)] = index(c)
-    return _new(nums, 1)
+        for slot, e in zip(slots, key if len(slots) > 1 else (key,), strict=True):
+            exps[slot] = e
+        coeffs[_pack(exps)] = _frac(c)
+    return _from_fractions(coeffs)
+
+
+def poly_counts(p: MultiPoly, *names) -> dict:
+    """The terms of p as {key: Fraction}, keyed as poly_from_counts reads them.
+
+    Raises ValueError if p uses a variable that is not named.
+    """
+    extra = p.variables_used() - set(names)
+    if extra:
+        raise ValueError(f"expected a polynomial in {', '.join(names)}, found {sorted(extra)}")
+    shifts = [_SHIFTS[_VAR_INDEX[name]] for name in names]
+    den = p._den
+    if len(shifts) == 1:
+        shift, = shifts
+        return {(key >> shift) & _MASK: Fraction(c, den) for key, c in p._nums.items()}
+    return {tuple((key >> shift) & _MASK for shift in shifts): Fraction(c, den)
+            for key, c in p._nums.items()}
 
 
 # -- JSON-friendly term lists (CLI interchange) ----------------------------
@@ -487,13 +485,13 @@ def poly_to_terms(p: MultiPoly) -> list:
 
 
 def poly_from_terms(items) -> MultiPoly:
-    terms = {}
+    counts = {}
     for item in items:
         exps = [0] * _NVARS
         for name, e in item["monomial"].items():
             exps[_VAR_INDEX[name]] = int(e)
-        terms[tuple(exps)] = Fraction(item["coeff"])
-    return MultiPoly(terms)
+        counts[tuple(exps)] = Fraction(item["coeff"])
+    return poly_from_counts(counts, *VARIABLES)
 
 
 # -- binomials --------------------------------------------------------------
@@ -602,16 +600,12 @@ def laplace_laurent(p: MultiPoly, order: int) -> dict:
     c*(-b)^(j+a)/(j+a)!, which is exact term by term (no working-precision
     truncation is involved).
     """
-    extra = p.variables_used() - {"E", "V"}
-    if extra:
-        raise ValueError(f"expected a polynomial in E and V only, found {sorted(extra)}")
-    iE, iV = _VAR_INDEX["E"], _VAR_INDEX["V"]
-    terms = [(exps[iV], exps[iE], c) for exps, c in p.terms.items()]
-    low = -max((a for a, _, _ in terms), default=0)
+    terms = poly_counts(p, "V", "E")
+    low = -max((a for a, _ in terms), default=0)
     out = {}
     for j in range(low, order + 1):
         acc = Fraction(0)
-        for a, b, c in terms:
+        for (a, b), c in terms.items():
             k = j + a
             if k >= 0:
                 acc += c * Fraction((-b) ** k, factorial(k))

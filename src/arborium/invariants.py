@@ -6,8 +6,8 @@ r own coordinates, the children's results are multiplied in, and the
 vertex's inequality (coordinates of the sub-tree sum to at most its size n)
 cuts the result.  zeta_poly, k_poly and ehrhart_heights keep a list indexed
 by height, so they share the step _cut_product and differ only in the own
-list; laplace cuts with truncate_laplace, which also adds boundary
-corrections.  m_triangle, ehrhart and volume are read off k_poly,
+list; laplace's own factor is V^r, cut by truncate_laplace, which also adds
+boundary corrections.  m_triangle, ehrhart and volume are read off k_poly,
 ehrhart_heights and laplace:
 
 * zeta_poly       height-weighted zeta polynomial Z(u, X)
@@ -29,13 +29,14 @@ from math import comb, factorial
 from operator import mul
 
 from .algebra import (
-    VARIABLES,
     ExactDivisionError,
     MultiPoly,
     binom_poly,
     int_binom,
     lagrange_interpolate,
     laplace_laurent,
+    poly_counts,
+    poly_from_counts,
     series_mul,
 )
 from .arbor import Arbor, make_tn
@@ -45,11 +46,6 @@ _X = MultiPoly.variable("X")
 _Y = MultiPoly.variable("Y")
 _E = MultiPoly.variable("E")
 _V = MultiPoly.variable("V")
-
-
-def _exps(**powers) -> tuple:
-    """Exponent tuple with the given powers and zero elsewhere."""
-    return tuple(powers.get(name, 0) for name in VARIABLES)
 
 
 # -- the height-graded fold step -----------------------------------------------
@@ -139,18 +135,16 @@ def m_from_k(k: MultiPoly) -> MultiPoly:
 
     Expanding (X-1)^j binomially turns the term into the sum over i of
     c*C(j, i)*(-1)^i*X^(h-i)*Y^h.  A term with h < j would need X^(h-j),
-    a negative power, and raises ExactDivisionError.
+    a negative power, and raises ExactDivisionError; a variable other than
+    X and Y raises ValueError.
     """
-    i_x, i_y = VARIABLES.index("X"), VARIABLES.index("Y")
     terms: dict = {}
-    for exps, c in k.terms.items():
-        j, h = exps[i_x], exps[i_y]
+    for (j, h), c in poly_counts(k, "X", "Y").items():
         if h < j:
             raise ExactDivisionError(f"K term {c}*X^{j}*Y^{h} has height below its support")
         for i in range(j + 1):
-            key = exps[:i_x] + (h - i,) + exps[i_x + 1:]
-            terms[key] = terms.get(key, 0) + (-1) ** i * int_binom(j, i) * c
-    return MultiPoly(terms)
+            terms[h - i, h] = terms.get((h - i, h), 0) + (-1) ** i * comb(j, i) * c
+    return poly_from_counts(terms, "X", "Y")
 
 
 def m_tn_closed(n: int) -> MultiPoly:
@@ -210,42 +204,35 @@ def truncate_laplace(p: MultiPoly, n: int) -> MultiPoly:
     Acts linearly on monomials V^(k+1) E^l: the image is 0 when l >= n, and
     otherwise subtracts the boundary corrections
     sum_j (n-l)^(k-j)/(k-j)! * V^(j+1) E^n.  Every monomial must carry a
-    positive V-degree.
+    positive V-degree, and no variable other than E and V may occur.
     """
-    extra = p.variables_used() - {"E", "V"}
-    if extra:
-        raise ValueError(f"expected a polynomial in E and V only, found {sorted(extra)}")
-    i_e, i_v = VARIABLES.index("E"), VARIABLES.index("V")
     terms: dict = {}
-    for exps, coeff in p.terms.items():
-        vdeg = exps[i_v]
-        edeg = exps[i_e]
+    for (edeg, vdeg), coeff in poly_counts(p, "E", "V").items():
         if vdeg < 1:
             raise ValueError("every monomial must have V-degree >= 1")
         if edeg >= n:
             continue
-        terms[exps] = coeff
+        terms[edeg, vdeg] = coeff
         k = vdeg - 1
         for j in range(k + 1):
-            corr = _exps(E=n, V=j + 1)
-            terms[corr] = (terms.get(corr, 0)
-                           - coeff * Fraction((n - edeg) ** (k - j), factorial(k - j)))
-    return MultiPoly(terms)
+            terms[n, j + 1] = (terms.get((n, j + 1), 0)
+                               - coeff * Fraction((n - edeg) ** (k - j), factorial(k - j)))
+    return poly_from_counts(terms, "E", "V")
 
 
 def laplace(t: Arbor) -> MultiPoly:
     """Laplace transform of the volume function, encoded in E = e^-v, V = 1/v.
 
-    One rule at every vertex, with n the sub-tree size and r the root's
-    cardinality: truncate_laplace(truncate_laplace(V^r, n) * (product of the
-    children's transforms), n).  A one-label leaf thus gives V - E*V.
+    Own factor times children, cut at n: truncate_laplace(V^r * (product of
+    the children's transforms), n), with n the sub-tree size and r the
+    vertex's own labels; V^r needs no cut of its own, as every density lives
+    on [0, inf).  A one-label leaf thus gives V - E*V.
     """
     return t.fold(_laplace_step)
 
 
 def _laplace_step(labels, n, kids) -> MultiPoly:
-    prod = reduce(mul, kids, truncate_laplace(_V ** len(labels), n))
-    return truncate_laplace(prod, n)
+    return truncate_laplace(reduce(mul, kids, _V ** len(labels)), n)
 
 
 def laplace_tn_closed(n: int) -> MultiPoly:

@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from arborium.algebra import (
     DEGREE_LIMIT,
+    VARIABLES,
     ExactDivisionError,
     InterpolationError,
     MultiPoly,
@@ -15,6 +17,7 @@ from arborium.algebra import (
     int_binom,
     lagrange_interpolate,
     laplace_laurent,
+    poly_counts,
     poly_from_counts,
     poly_from_terms,
     poly_to_terms,
@@ -288,6 +291,37 @@ def test_poly_from_counts():
     assert poly_from_counts({(2, 1): 4}, "Y", "X") == 4 * X * Y ** 2
     with pytest.raises(ValueError):
         poly_from_counts({(1, 2, 3): 1}, "X", "Y")
+
+
+@given(st.data())
+def test_poly_counts_inverts_poly_from_counts(data):
+    names = data.draw(st.lists(st.sampled_from(VARIABLES), min_size=1, unique=True))
+    exps = st.integers(0, 4)
+    key = exps if len(names) == 1 else st.tuples(*[exps] * len(names))
+    count = st.integers(-9, 9) | st.fractions(-9, 9, max_denominator=6)
+    counts = data.draw(st.dictionaries(key, count, max_size=6))
+    p = poly_from_counts(counts, *names)
+    assert poly_counts(p, *names) == {k: c for k, c in counts.items() if c}
+    assert poly_from_counts(poly_counts(p, *names), *names) == p
+
+
+def test_poly_counts_keys_follow_the_named_order():
+    assert poly_counts(2 - 5 * X, "X") == {0: 2, 1: -5}
+    assert poly_counts(1 + 3 * X * Y ** 2, "Y", "X") == {(0, 0): 1, (2, 1): 3}
+    assert poly_counts(Fraction(1, 2) * V, "E", "V") == {(0, 1): Fraction(1, 2)}
+    assert poly_counts(MultiPoly.zero(), "u") == {}
+
+
+def test_poly_counts_rejects_an_unnamed_variable():
+    with pytest.raises(ValueError, match=r"\['V', 'Y'\]"):
+        poly_counts(X + Y * V, "X", "E")
+
+
+def test_poly_from_counts_takes_exact_rationals_only():
+    half_x = poly_from_counts({(1, 0): Fraction(1, 2), (0, 3): Fraction(0)}, "X", "Y")
+    assert half_x == Fraction(1, 2) * X
+    with pytest.raises(TypeError):
+        poly_from_counts({1: 0.5}, "X")
 
 
 def test_canonical_text():

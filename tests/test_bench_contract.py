@@ -1,12 +1,16 @@
-"""The benchmark's tracing contract: every function and method the per-layer
-metrics of perfbench/tracing.py name must still exist and be wrappable.
+"""The benchmark's contract: every function and method the per-layer
+metrics of perfbench/tracing.py name must still exist and be wrappable, and
+every operation of both workloads at the default seed must print exactly
+the output pinned in perfbench/pinned.json.
 
-A rename that breaks the contract would otherwise surface only in a traced
-benchmark run.  This test only reads perfbench/.
+A rename or an output drift would otherwise surface only in a benchmark
+run.  These tests only read perfbench/.
 """
 
 import json
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 HARNESS_METRICS = {"cli.output_bytes", "trace.overhead"}
@@ -33,3 +37,19 @@ def test_tracer_installs_and_snapshots(monkeypatch):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert [m["name"] for m in spec["per_layer"]] == [name for name, *_ in tracing.PER_LAYER]
     assert not hasattr(algebra.lagrange_interpolate, "__wrapped__")  # uninstalled
+
+
+@pytest.mark.parametrize("workload", ["series", "corpus"])
+def test_workload_outputs_match_pinned_digests(monkeypatch, capsys, workload):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    from arborium import cli
+
+    pinned = workloads.load_pinned()[workload]
+    drifted = []
+    for op in workloads.build(workload, workloads.DEFAULT_SEED):
+        code = cli.main(list(op.argv))
+        if code != 0 or workloads.digest(capsys.readouterr().out) != pinned[op.key]:
+            drifted.append(op.key)
+    assert not drifted, f"output differs from perfbench/pinned.json: {drifted}"

@@ -252,6 +252,21 @@ def test_oracle_check_json(capsys):
     assert all(e["passed"] for e in entries)
 
 
+@pytest.mark.parametrize("argv", [("--arbor", "{1}"), ("--seed", "3", "--per-size", "1")],
+                         ids=["arbor", "corpus"])
+def test_laplace_defect_is_a_failed_check(capsys, monkeypatch, argv):
+    # 2V - EV expands to 1/v + 1 - ...: not entire, so there is no volume to
+    # read.  A recursion defect fails the check (exit 1); it is not a usage
+    # error (exit 2).
+    monkeypatch.setattr(invariants, "laplace", lambda t: 2 * V - E * V)
+    code, out, err = run(capsys, "oracle-check", *argv)
+    assert code == 1
+    assert "error" not in err and "Traceback" not in err
+    assert ("volume vs ehrhart leading: lhs = none: Laplace transform has negative "
+            "Laurent degree -1; rhs = ") in out
+    assert "laplace entire: min degree -1" in out
+
+
 def test_tn_command(capsys):
     code, out, _ = run(capsys, "tn", "5")
     assert code == 0

@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 
@@ -214,6 +216,18 @@ def test_truncate_laplace_linear_and_idempotent():
         split = sum((truncate_laplace(c * p, n) for p, c in terms.items() if c),
                     MultiPoly.zero())
         assert split == once
+
+
+def test_laplace_cuts_once_per_vertex():
+    # Reference: the fold that also cut the vertex's own V^r at n before
+    # multiplying in the children.
+    def double_cut(labels, n, kids):
+        return truncate_laplace(reduce(mul, kids, truncate_laplace(V ** len(labels), n)), n)
+
+    rng = random.Random(16)
+    arbors = [random_arbor(n, rng) for n in range(1, 7) for _ in range(6)]
+    for t in arbors + [make_tn(n) for n in range(1, 13)]:
+        assert laplace(t) == t.fold(double_cut), serialize_arbor(t)
 
 
 def test_laplace_small():
