@@ -250,7 +250,7 @@ def serialize_arbor(t: Arbor) -> str:
 def make_tn(n: int) -> Arbor:
     """The fan arbor t_n: a size-1 root {1} with n-1 size-1 leaf children."""
     if n < 1:
-        raise ValueError("t_n requires n >= 1")
+        raise ArborError("t_n requires n >= 1")
     vertices = {0: {1}}
     children = {0: list(range(1, n))}
     for i in range(2, n + 1):

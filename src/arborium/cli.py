@@ -8,8 +8,11 @@ Commands:
 
 Exit codes: 0 success, 1 verification or oracle disagreement, 2 usage or
 parse errors.  The environment variable ARBORIUM_ORDER overrides the
-default series order.  Every size input has an upper limit below, checked
-before any work starts; a larger input is a usage error.
+default series order.  Every size input has an upper limit below.  Usage
+errors (UsageError, ArborError) are raised before any work starts and
+turned into "error: ..." and exit 2 in main alone; an exception raised
+during the work itself is a defect and is not caught, so it cannot pass
+for a usage error.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 
 from .algebra import MultiPoly, poly_to_terms
@@ -29,20 +33,28 @@ from .verify import DEFAULT_ORDER, THEOREMS, VERIFIERS
 # Input limits.  Each is set so that the largest accepted input ends within
 # about 10 s; the times are single runs on a shared 2-CPU VM with CPython 3.11.
 MAX_ORDER = 52          # verify --order / ARBORIUM_ORDER: all four theorems, 8.6 s
-MAX_COMPUTE_SIZE = 30   # compute --tn / --arbor size: every invariant of the 30-deep
-                        # path, 7.4 s (Ehrhart 6.7 s; it grows as size^6); t_30 1.6 s
+MAX_COMPUTE_SIZE = 30   # compute --tn / --arbor size: every invariant, 1.1 s at most
+                        # (16 random arbors 0.6-1.1 s, t_30 0.9 s, 30-deep path 0.5 s)
 MAX_TN = 800_000        # tn N: 10.4 s, mostly building and validating the arbor
 MAX_PER_SIZE = 40       # oracle-check --per-size: 1.5-1.7 s on the default seed
+
+
+# Text that int() reads in base 10; int() refuses more than 4300 digits.
+_INT_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
+class UsageError(Exception):
+    """Bad command-line input, found before any work starts; main prints it
+    as "error: ..." and exits 2."""
 
 
 def _default_order() -> int:
     raw = os.environ.get("ARBORIUM_ORDER")
     if raw is None:
         return DEFAULT_ORDER
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"ARBORIUM_ORDER must be an integer, got {raw!r}") from None
+    if len(raw) > 4300 or not _INT_TEXT.fullmatch(raw):
+        raise UsageError(f"ARBORIUM_ORDER must be an integer, got {raw!r}")
+    return int(raw)
 
 
 @functools.cache
@@ -97,18 +109,19 @@ def _invariant_names(raw) -> list:
     for chunk in raw:
         named = [x.strip() for x in chunk.split(",") if x.strip()]
         if not named:
-            raise ValueError(f"--invariant {chunk!r} names no invariant")
+            raise UsageError(f"--invariant {chunk!r} names no invariant")
         names.extend(named)
     bad = [x for x in names if x not in INVARIANT_NAMES]
     if bad:
-        raise ValueError(f"unknown invariant(s): {', '.join(bad)}")
+        raise UsageError(f"unknown invariant(s): {', '.join(bad)}")
     return list(dict.fromkeys(names))  # a repeated name counts once, at its first place
 
 
-def _render_value(value):
+def _value_json(value) -> dict:
+    text = str(value)
     if isinstance(value, MultiPoly):
-        return str(value), {"text": str(value), "terms": poly_to_terms(value)}
-    return str(value), {"text": str(value), "value": str(value)}
+        return {"text": text, "terms": poly_to_terms(value)}
+    return {"text": text, "value": text}
 
 
 def _compute_arbor(args):
@@ -120,46 +133,31 @@ def _compute_arbor(args):
     else:
         t, size = None, args.tn
     if size > MAX_COMPUTE_SIZE:
-        raise ValueError(f"arbor size {size} exceeds the compute limit {MAX_COMPUTE_SIZE}")
+        raise UsageError(f"arbor size {size} exceeds the compute limit {MAX_COMPUTE_SIZE}")
     return t if t is not None else make_tn(size)
 
 
 def cmd_compute(args) -> int:
-    try:
-        t = _compute_arbor(args)
-        names = _invariant_names(args.invariant)
-    except (ArborError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    t = _compute_arbor(args)
+    names = _invariant_names(args.invariant)
     values = compute_invariants(t, names)
     if args.format == "json":
-        payload = {"arbor": serialize_arbor(t), "size": t.size, "invariants": {}}
-        for name in names:
-            _, as_json = _render_value(values[name])
-            payload["invariants"][name] = as_json
-        print(json.dumps(payload, indent=2))
+        print(json.dumps({"arbor": serialize_arbor(t), "size": t.size, "invariants": {
+            name: _value_json(value) for name, value in values.items()}}, indent=2))
     elif len(names) == 1:
-        text, _ = _render_value(values[names[0]])
-        print(text)
+        print(values[names[0]])
     else:
-        for name in names:
-            text, _ = _render_value(values[name])
-            print(f"{name}: {text}")
+        for name, value in values.items():
+            print(f"{name}: {value}")
     return 0
 
 
 def cmd_verify(args) -> int:
-    try:
-        order = args.order if args.order is not None else _default_order()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    order = args.order if args.order is not None else _default_order()
     if order < 1:
-        print("error: --order must be >= 1", file=sys.stderr)
-        return 2
+        raise UsageError("--order must be >= 1")
     if order > MAX_ORDER:
-        print(f"error: series order {order} exceeds the limit {MAX_ORDER}", file=sys.stderr)
-        return 2
+        raise UsageError(f"series order {order} exceeds the limit {MAX_ORDER}")
     theorems = args.theorem or list(THEOREMS)
     reports = [VERIFIERS[name](order) for name in theorems]
     if args.format == "json":
@@ -172,18 +170,12 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     if args.per_size < 1:
-        print("error: --per-size must be >= 1", file=sys.stderr)
-        return 2
+        raise UsageError("--per-size must be >= 1")
     if args.per_size > MAX_PER_SIZE:
-        print(f"error: --per-size {args.per_size} exceeds the limit {MAX_PER_SIZE}",
-              file=sys.stderr)
-        return 2
+        raise UsageError(f"--per-size {args.per_size} exceeds the limit {MAX_PER_SIZE}")
     if args.arbor:
-        try:
-            outcomes = cross_check(parse_arbor(args.arbor))
-        except (ArborError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        # cross_check raises ArborError for too many points before any oracle work
+        outcomes = cross_check(parse_arbor(args.arbor))
     else:
         # In JSON mode the header goes to stderr, so stdout stays one JSON document.
         print(f"corpus: seed={args.seed} per_size={args.per_size} sizes 1..6",
@@ -209,25 +201,20 @@ def cmd_oracle_check(args) -> int:
 
 def cmd_tn(args) -> int:
     if args.n > MAX_TN:
-        print(f"error: n = {args.n} exceeds the limit {MAX_TN}", file=sys.stderr)
-        return 2
-    try:
-        print(serialize_arbor(make_tn(args.n)))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"n = {args.n} exceeds the limit {MAX_TN}")
+    print(serialize_arbor(make_tn(args.n)))
     return 0
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "compute": cmd_compute,
-        "verify": cmd_verify,
-        "oracle-check": cmd_oracle_check,
-        "tn": cmd_tn,
-    }
-    return handlers[args.command](args)
+    handlers = {"compute": cmd_compute, "verify": cmd_verify,
+                "oracle-check": cmd_oracle_check, "tn": cmd_tn}
+    try:
+        return handlers[args.command](args)
+    except (ArborError, UsageError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,14 +1,14 @@
 """Recursions and closed forms for the arbor invariants.
 
 Every recursion is one bottom-up Arbor.fold with one rule per vertex: own
-factor times children, cut at height n.  The own factor weighs the vertex's
-r own coordinates, the children's results are multiplied in, and the
-vertex's inequality (coordinates of the sub-tree sum to at most its size n)
-cuts the result.  zeta_poly, k_poly and ehrhart_heights keep a list indexed
-by height, so they share the step _cut_product and differ only in the own
-list; laplace's own factor is V^r, cut by truncate_laplace, which also adds
-boundary corrections.  m_triangle, ehrhart and volume are read off k_poly,
-ehrhart_heights and laplace:
+factor times children, cut at height n.  The own factor weighs the vertex's r
+own coordinates, the children's results are multiplied in, and the vertex's
+inequality (coordinates of the sub-tree sum to at most its size n) cuts the
+result.  zeta_poly and k_poly keep polynomials by height and share the step
+_cut_product; ehrhart_heights keeps counts by height and applies its own
+factor 1/(1-x)^r as r prefix sums; laplace's own factor is V^r, cut by
+truncate_laplace, which also adds boundary corrections.  m_triangle, ehrhart
+and volume are read off k_poly, ehrhart_heights and laplace:
 
 * zeta_poly       height-weighted zeta polynomial Z(u, X)
 * k_poly          nonzero-coordinate/height census K(X, Y)
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
 from math import comb, factorial
 from operator import mul
 
@@ -51,7 +52,7 @@ _V = MultiPoly.variable("V")
 # -- the height-graded fold step -----------------------------------------------
 
 def _cut_product(own, kids) -> list:
-    """Fold step shared by zeta_poly, k_poly and ehrhart_heights.
+    """Fold step shared by zeta_poly and k_poly.
 
     Every list is a series in the height, [c_0, ..., c_cap].  own[h] weighs
     the vertex's own coordinates summing to h; each child's list is
@@ -169,12 +170,21 @@ def ehrhart_heights(t: Arbor, u: int) -> list:
     whose coordinates sum to s.
 
     Own factor times children, cut at height u*n: r own coordinates sum to
-    s in C(s+r-1, r-1) ways.
+    s in C(s+r-1, r-1) ways, the coefficients of 1/(1-x)^r.  The children's
+    product reaches height u*(n-r) at most, so it is built uncut from [1]
+    with no padding zeros multiplied, then padded and summed up r times.
     """
     if u < 0:
         raise ValueError("dilation factor must be >= 0")
-    return t.fold(lambda labels, n, kids: _cut_product(
-        [comb(s + len(labels) - 1, len(labels) - 1) for s in range(u * n + 1)], kids))
+
+    def step(labels, n, kids):
+        heights = reduce(lambda g, kid: series_mul(g, kid, len(g) + len(kid) - 2), kids, [1])
+        heights += [0] * (u * n + 1 - len(heights))
+        for _ in labels:
+            heights = list(accumulate(heights))
+        return heights
+
+    return t.fold(step)
 
 
 def ehrhart(t: Arbor) -> MultiPoly:

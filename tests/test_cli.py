@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from arborium import invariants
+from arborium import invariants, oracle
 from arborium.algebra import gens, poly_from_terms
 from arborium.arbor import ArborError, make_tn, parse_arbor
 from arborium.cli import MAX_COMPUTE_SIZE, MAX_ORDER, MAX_PER_SIZE, MAX_TN, build_parser, main
@@ -80,6 +80,10 @@ def test_compute_json_roundtrip(capsys):
     assert Fraction(inv["volume"]["value"]) == Fraction(2)
 
 
+def path_text(n):
+    return "".join("{%d}(" % i for i in range(1, n)) + "{%d}" % n + ")" * (n - 1)
+
+
 @pytest.mark.parametrize("argv,digest", [
     (("compute", "--arbor", "{1,2}({3}({6,7},{8}),{4,5})",
       "--invariant", "zeta,k,m,laplace,volume", "--format", "json"),
@@ -88,7 +92,11 @@ def test_compute_json_roundtrip(capsys):
      "bf9437536764702218d65b340e926f5af1d7032af3115340b54c712cf1ccb751"),
     (("compute", "--tn", "6"),
      "40ca4ee7d46edb71be3bf0773c98effb7603c1dc8dccbbb555bce3266e9931ea"),
-], ids=["figure-json", "t6-json", "t6-text"])
+    (("compute", "--arbor", path_text(30), "--invariant", "ehrhart"),
+     "0c6fa63bcec816f918b16cb69d625949e2430421e822dcca6fa3e9f41a54af1b"),
+    (("compute", "--tn", "30", "--invariant", "ehrhart"),
+     "3e250b5d39b38251cd1b4884e8b3c62186ea0a072aebfc3cd19db7306a3d0e10"),
+], ids=["figure-json", "t6-json", "t6-text", "path30-ehrhart", "t30-ehrhart"])
 def test_compute_output_bytes_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
@@ -98,18 +106,22 @@ def test_compute_output_bytes_pinned(capsys, argv, digest):
 def test_compute_parse_error_exit_code(capsys):
     code, out, err = run(capsys, "compute", "--arbor", "{1}({2},{2})",
                          "--invariant", "volume")
-    assert code == 2
-    assert "duplicate label 2" in err
+    assert (code, out, err) == (2, "", "error: duplicate label 2 (at position 9)\n")
+    for command in ("compute", "oracle-check"):
+        assert run(capsys, command, "--arbor", "{1}(") == (
+            2, "", "error: expected '{' (at position 4)\n")
 
 
 def test_compute_unknown_invariant(capsys):
     code, _, err = run(capsys, "compute", "--tn", "2", "--invariant", "banana")
     assert code == 2
-    assert "banana" in err
+    assert err == "error: unknown invariant(s): banana\n"
+    assert run(capsys, "compute", "--tn", "2", "--invariant", "banana,zeta,kiwi") == (
+        2, "", "error: unknown invariant(s): banana, kiwi\n")
     for value in (",", "", " , "):
         code, out, err = run(capsys, "compute", "--arbor", "{1}({2})", "--invariant", value)
         assert (code, out) == (2, "")
-        assert err.startswith("error: ") and "names no invariant" in err
+        assert err == f"error: --invariant {value!r} names no invariant\n"
 
 
 def test_compute_requires_arbor_or_tn(capsys):
@@ -127,7 +139,7 @@ def test_verify_single_theorem(capsys):
 def test_verify_order_zero_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--theorem", "zeta", "--order", "0")
     assert code == 2
-    assert "order" in err
+    assert err == "error: --order must be >= 1\n"
 
 
 def test_verify_json_output(capsys):
@@ -149,11 +161,12 @@ def test_verify_env_var_order(capsys, monkeypatch):
 
 
 def test_verify_bad_env_order_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("ARBORIUM_ORDER", "abc")
-    code, out, err = run(capsys, "verify", "--theorem", "zeta")
-    assert code == 2
-    assert out == ""
-    assert "ARBORIUM_ORDER must be an integer, got 'abc'" in err
+    # "1" * 5000 is past int()'s 4300-digit limit
+    for raw in ("abc", "1.0", "", "1__0", "1" * 5000):
+        monkeypatch.setenv("ARBORIUM_ORDER", raw)
+        code, out, err = run(capsys, "verify", "--theorem", "zeta")
+        assert (code, out) == (2, "")
+        assert err == f"error: ARBORIUM_ORDER must be an integer, got {raw!r}\n"
 
 
 @pytest.mark.parametrize("per_size", ["0", "-1"])
@@ -161,7 +174,7 @@ def test_oracle_check_per_size_below_one_is_usage_error(capsys, per_size):
     code, out, err = run(capsys, "oracle-check", "--per-size", per_size)
     assert code == 2
     assert out == ""
-    assert "--per-size must be >= 1" in err
+    assert err == "error: --per-size must be >= 1\n"
 
 
 def test_oracle_check_single_arbor(capsys):
@@ -173,17 +186,16 @@ def test_oracle_check_single_arbor(capsys):
 DEEP_PATH = "".join("{%d}(" % i for i in range(1, 1200)) + "{1200}" + ")" * 1199
 
 
-@pytest.mark.parametrize("text", [
-    DEEP_PATH,                                      # 2^1200 points at least
-    "{1}(" + ",".join("{%d}" % i for i in range(2, 13)) + ")",  # t_12: 15360 points
-    "{" + ",".join(str(i) for i in range(1, 13)) + "}",         # 2,704,156 points
+@pytest.mark.parametrize("text,points", [
+    (DEEP_PATH, "of size 1200 has at least 2^1200 points"),
+    ("{1}(" + ",".join("{%d}" % i for i in range(2, 13)) + ")", "has 15360 points"),  # t_12
+    ("{" + ",".join(str(i) for i in range(1, 13)) + "}", "has 2704156 points"),
 ], ids=["path-1200", "t12", "one-vertex-12"])
-def test_oracle_check_too_many_points_is_usage_error(capsys, text):
+def test_oracle_check_too_many_points_is_usage_error(capsys, text, points):
     code, out, err = run(capsys, "oracle-check", "--arbor", text)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and "oracle checks stop at 8192" in err
-    assert "Traceback" not in err
+    assert err == f"error: arbor {points}; oracle checks stop at 8192\n"
 
 
 @pytest.mark.parametrize("text", [
@@ -201,32 +213,45 @@ def test_cross_check_size_guard_comes_before_the_point_count(monkeypatch, text):
         cross_check(parse_arbor(text))
 
 
-def path_text(n):
-    return "".join("{%d}(" % i for i in range(1, n)) + "{%d}" % n + ")" * (n - 1)
-
-
-@pytest.mark.parametrize("argv", [
-    ("verify", "--order", str(MAX_ORDER + 1)),
-    ("compute", "--tn", str(MAX_COMPUTE_SIZE + 1)),
-    ("compute", "--arbor", path_text(MAX_COMPUTE_SIZE + 1), "--invariant", "ehrhart"),
-    ("compute", "--arbor", DEEP_PATH),
-    ("tn", str(MAX_TN + 1)),
-    ("oracle-check", "--per-size", str(MAX_PER_SIZE + 1)),
+@pytest.mark.parametrize("argv,message", [
+    (("verify", "--order", str(MAX_ORDER + 1)),
+     f"series order {MAX_ORDER + 1} exceeds the limit {MAX_ORDER}"),
+    (("compute", "--tn", str(MAX_COMPUTE_SIZE + 1)),
+     f"arbor size {MAX_COMPUTE_SIZE + 1} exceeds the compute limit {MAX_COMPUTE_SIZE}"),
+    (("compute", "--arbor", path_text(MAX_COMPUTE_SIZE + 1), "--invariant", "ehrhart"),
+     f"arbor size {MAX_COMPUTE_SIZE + 1} exceeds the compute limit {MAX_COMPUTE_SIZE}"),
+    (("compute", "--arbor", DEEP_PATH),
+     f"arbor size 1200 exceeds the compute limit {MAX_COMPUTE_SIZE}"),
+    (("tn", str(MAX_TN + 1)), f"n = {MAX_TN + 1} exceeds the limit {MAX_TN}"),
+    (("oracle-check", "--per-size", str(MAX_PER_SIZE + 1)),
+     f"--per-size {MAX_PER_SIZE + 1} exceeds the limit {MAX_PER_SIZE}"),
 ], ids=["verify-order", "compute-tn", "compute-path", "compute-path-1200", "tn", "per-size"])
-def test_size_limits_are_usage_errors(capsys, argv):
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and "exceeds the" in err
-    assert "Traceback" not in err
+def test_size_limits_are_usage_errors(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_env_order_limit_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("ARBORIUM_ORDER", str(MAX_ORDER + 1))
-    code, out, err = run(capsys, "verify", "--theorem", "zeta")
-    assert code == 2
-    assert out == ""
-    assert err == f"error: series order {MAX_ORDER + 1} exceeds the limit {MAX_ORDER}\n"
+    # ARBORIUM_ORDER is read as int() reads it: spaces, a sign and digit underscores
+    for raw in (str(MAX_ORDER + 1), " +" + "_".join(str(MAX_ORDER + 1)) + "\n"):
+        monkeypatch.setenv("ARBORIUM_ORDER", raw)
+        code, out, err = run(capsys, "verify", "--theorem", "zeta")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: series order {MAX_ORDER + 1} exceeds the limit {MAX_ORDER}\n"
+    monkeypatch.setenv("ARBORIUM_ORDER", " -3 ")
+    assert run(capsys, "verify") == (2, "", "error: --order must be >= 1\n")
+
+
+def test_a_defect_during_work_is_not_a_usage_error(capsys, monkeypatch):
+    # exit 2 is for bad input only; an exception raised by a recursion while
+    # the checks run propagates, whatever ValueError subclass it is
+    def boom(t):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(invariants, "k_poly", boom)
+    with pytest.raises(ValueError, match="boom"):
+        main(["oracle-check", "--arbor", "{1}"])
+    assert "error: boom" not in capsys.readouterr().err
 
 
 def test_oracle_check_corpus_small(capsys):
@@ -267,12 +292,49 @@ def test_laplace_defect_is_a_failed_check(capsys, monkeypatch, argv):
     assert "laplace entire: min degree -1" in out
 
 
+@pytest.mark.parametrize("argv", [("--arbor", "{1}({2})"), ("--seed", "3", "--per-size", "1")],
+                         ids=["arbor", "corpus"])
+def test_ehrhart_defect_is_a_failed_check(capsys, monkeypatch, argv):
+    # u^7 added to every count breaks the degree bound n <= 6 of the Ehrhart
+    # interpolation: the defect fails one check (exit 1), and the checks that
+    # need the Ehrhart polynomial are left out
+    heights = invariants.ehrhart_heights
+
+    def broken(t, u):
+        first, *rest = heights(t, u)
+        return [first + u ** 7, *rest]
+
+    monkeypatch.setattr(invariants, "ehrhart_heights", broken)
+    code, out, err = run(capsys, "oracle-check", *argv)
+    assert code == 1
+    assert "error" not in err and "Traceback" not in err
+    assert "ehrhart degree bound: sample at u=" in out
+    names = [o.name for o in cross_check(parse_arbor("{1}({2})")) if "ehrhart" in o.name]
+    assert names == ["ehrhart degree bound"]
+
+
+@pytest.mark.parametrize("argv", [("--arbor", "{1}({2})"), ("--seed", "3", "--per-size", "1")],
+                         ids=["arbor", "corpus"])
+def test_zeta_oracle_defect_is_a_failed_check(capsys, monkeypatch, argv):
+    # m^7 added to every census breaks the zeta oracle's degree bound n <= 6
+    counts = oracle.multichain_weight_counts
+
+    def broken(P, top):
+        return {m: {**c, 0: c.get(0, 0) + m ** 7} for m, c in counts(P, top).items()}
+
+    monkeypatch.setattr(oracle, "multichain_weight_counts", broken)
+    code, out, err = run(capsys, "oracle-check", *argv)
+    assert code == 1
+    assert "error" not in err and "Traceback" not in err
+    assert "zeta vs multichain oracle: sample at u=" in out
+
+
 def test_tn_command(capsys):
     code, out, _ = run(capsys, "tn", "5")
     assert code == 0
     assert out.strip() == "{1}({2},{3},{4},{5})"
-    code, _, err = run(capsys, "tn", "0")
-    assert code == 2
+    for argv in (("tn", "0"), ("tn", "-4"), ("compute", "--tn", "0")):
+        assert run(capsys, *argv) == (2, "", "error: t_n requires n >= 1\n")
 
 
 def run_fresh(*args):

@@ -3,9 +3,11 @@
 import random
 from fractions import Fraction
 from functools import reduce
+from math import comb
 from operator import mul
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from arborium.algebra import MultiPoly, binom_poly, gens, laplace_laurent
 from arborium.arbor import (
@@ -169,6 +171,39 @@ def test_ehrhart_heights_total_is_count():
                 (serialize_arbor(t), dil)
     with pytest.raises(ValueError):
         ehrhart_heights(make_tn(1), -1)
+
+
+def binomial_table_heights(t, dil):
+    """Reference fold for ehrhart_heights: the own list C(s+r-1, r-1) for
+    s = 0..dil*n, times each child's list by a plain convolution, cut at dil*n."""
+    def step(labels, n, kids):
+        cap, r = dil * n, len(labels)
+        acc = [comb(s + r - 1, r - 1) for s in range(cap + 1)]
+        for kid in kids:
+            acc = [sum(acc[i] * kid[s - i] for i in range(max(0, s - len(kid) + 1), s + 1))
+                   for s in range(cap + 1)]
+        return acc
+    return t.fold(step)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 7), st.integers(0, 2 ** 32), st.integers(0, 3))
+@example(7, 0, 3)
+def test_ehrhart_heights_match_the_binomial_table_fold(size, seed, dil):
+    t = random_arbor(size, random.Random(seed))
+    assert ehrhart_heights(t, dil) == binomial_table_heights(t, dil)
+
+
+@pytest.mark.parametrize("text", [
+    "".join("{%d}(" % i for i in range(1, 16)) + "{16}" + ")" * 15,
+    "{1}(" + ",".join("{%d}" % i for i in range(2, 13)) + ")",
+    "{1,2}({3}({6,7},{8}),{4,5})",
+    "{1,2,3,4}({5,6}({7}),{8,9,10})",
+], ids=["path-16", "t12", "figure", "wide-blocks"])
+def test_ehrhart_heights_match_the_binomial_table_fold_deep_and_wide(text):
+    t = parse_arbor(text)
+    for dil in range(4):
+        assert ehrhart_heights(t, dil) == binomial_table_heights(t, dil), dil
 
 
 def test_ehrhart_figure_arbor_leading_coefficient_and_size():
