@@ -242,6 +242,24 @@ def test_env_order_limit_is_usage_error(capsys, monkeypatch):
     assert run(capsys, "verify") == (2, "", "error: --order must be >= 1\n")
 
 
+def test_env_order_digit_limit_is_int_s_own(capsys, monkeypatch):
+    # int() counts digits only, not spaces or the sign, against its limit
+    raw = " +1" + "0" * 4299
+    monkeypatch.setenv("ARBORIUM_ORDER", raw)
+    assert run(capsys, "verify") == (
+        2, "", f"error: series order {int(raw)} exceeds the limit {MAX_ORDER}\n")
+    # and the limit is whatever sys.set_int_max_str_digits made it
+    raw = "1" * 1000
+    monkeypatch.setenv("ARBORIUM_ORDER", raw)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        result = run(capsys, "verify")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert result == (2, "", f"error: ARBORIUM_ORDER must be an integer, got {raw!r}\n")
+
+
 def test_a_defect_during_work_is_not_a_usage_error(capsys, monkeypatch):
     # exit 2 is for bad input only; an exception raised by a recursion while
     # the checks run propagates, whatever ValueError subclass it is
