@@ -42,15 +42,18 @@ class Arbor:
 
     Vertex ids are internal bookkeeping; only label sets are semantic, so
     equality and hashing go through the canonical serialization.
-    Instances are immutable.
+    Construction validates the tree in one walk from the root, which visits
+    children by smallest own label; the walk's pre-order, as (vertex id,
+    depth) pairs, is stored, and fold, canonical and constraints read it
+    instead of walking the tree again.  Instances are immutable.
     """
 
-    __slots__ = ("root", "vertices", "children", "size", "_canonical")
+    __slots__ = ("root", "vertices", "children", "size", "_preorder", "_canonical")
 
     def __init__(self, root: int, vertices: dict, children: dict):
         vertices = {vid: frozenset(labels) for vid, labels in vertices.items()}
         children = {vid: tuple(children.get(vid, ())) for vid in vertices}
-        _validate(root, vertices, children)
+        self._preorder = _validate(root, vertices, children)
         self.root = root
         self.vertices = vertices
         self.children = children
@@ -71,19 +74,28 @@ class Arbor:
         step(labels, size, child_values) once per vertex, children first, with
         the vertex's own labels, its sub-tree size and its children's results
         in stored child order.  Returns the root's result."""
-        order = [self.root]
-        for vid in order:
-            order.extend(self.children[vid])
         sizes, values = {}, {}
-        for vid in reversed(order):
+        for vid, _ in reversed(self._preorder):
             kids = self.children[vid]
             sizes[vid] = len(self.vertices[vid]) + sum(sizes[c] for c in kids)
             values[vid] = step(self.vertices[vid], sizes[vid], [values.pop(c) for c in kids])
         return values[self.root]
 
     def canonical(self) -> str:
+        """Labels ascending, children by smallest own label: one pass over the
+        pre-order, where a step down opens '(', a step up closes ')' and a
+        sibling follows ','."""
         if self._canonical is None:
-            self._canonical = _join_canonical(self.fold(_serialize_step))
+            pieces, last = [], 0
+            for vid, depth in self._preorder:
+                if depth > last:
+                    pieces.append("(")
+                elif pieces:
+                    pieces.append(")" * (last - depth) + ",")
+                pieces.append("{%s}" % ",".join(map(str, sorted(self.vertices[vid]))))
+                last = depth
+            pieces.append(")" * last)
+            self._canonical = "".join(pieces)
         return self._canonical
 
     def __eq__(self, other):
@@ -98,10 +110,12 @@ class Arbor:
         return f"Arbor({self.canonical()!r})"
 
 
-def _validate(root, vertices, children):
+def _validate(root, vertices, children) -> list:
+    """Check the labels and the tree; return the pre-order from the root as
+    (vertex id, depth) pairs, children by smallest own label."""
     if root not in vertices:
         raise ArborError("root vertex is missing")
-    seen_labels = set()
+    seen_labels, smallest = set(), {}
     for vid, labels in vertices.items():
         if not labels:
             raise ArborError("empty label set")
@@ -111,6 +125,7 @@ def _validate(root, vertices, children):
             if lab in seen_labels:
                 raise ArborError(f"duplicate label {lab}")
             seen_labels.add(lab)
+        smallest[vid] = min(labels)
     n = max(seen_labels)
     if len(seen_labels) < n:
         # Name only the first few gaps, so a huge label costs neither time nor memory.
@@ -119,21 +134,24 @@ def _validate(root, vertices, children):
         raise ArborError(f"labels do not cover 1..{n}: missing {missing}"
                          + (f" and {more} more" if more else ""))
 
-    reached = set()
-    stack = [root]
-    parents = {}
+    # No edge may lead into the root, nor two into one vertex, so the walk is a tree.
+    order, placed, stack = [], {root}, [(root, 0)]
     while stack:
-        vid = stack.pop()
-        if vid in reached:
-            raise ArborError("children relation contains a cycle")
-        reached.add(vid)
-        for child in children.get(vid, ()):
-            if child in parents:
+        vid, depth = stack.pop()
+        order.append((vid, depth))
+        kids = children[vid]
+        for child in kids:
+            if child == root:
+                raise ArborError("children relation contains a cycle")
+            if child in placed:
                 raise ArborError("vertex has two parents")
-            parents[child] = vid
-            stack.append(child)
-    if reached != set(vertices):
+            if child not in smallest:
+                raise ArborError("children relation does not span every vertex")
+            placed.add(child)
+        stack += [(c, depth + 1) for c in sorted(kids, key=smallest.__getitem__, reverse=True)]
+    if len(order) < len(vertices):
         raise ArborError("children relation does not span every vertex")
+    return order
 
 
 # -- parsing -----------------------------------------------------------------
@@ -213,33 +231,6 @@ def parse_arbor(text: str) -> Arbor:
 
 # -- serialization -----------------------------------------------------------
 
-def _serialize_step(labels, size, kids):
-    """Fold step of Arbor.canonical: (smallest own label, own label text,
-    children's results ordered by smallest own label).  No step copies
-    its children's text; _join_canonical writes it once at the root."""
-    return min(labels), "{%s}" % ",".join(str(lab) for lab in sorted(labels)), sorted(kids)
-
-
-def _join_canonical(node) -> str:
-    """Flatten the nested _serialize_step results into text, with an
-    explicit stack instead of recursion."""
-    pieces, stack = [], [node]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            pieces.append(item)
-            continue
-        _, text, kids = item
-        pieces.append(text)
-        if kids:
-            tail = [")"]
-            for kid in reversed(kids):
-                tail += [kid, ","]
-            tail[-1] = "("
-            stack.extend(tail)
-    return "".join(pieces)
-
-
 def serialize_arbor(t: Arbor) -> str:
     """Canonical text: labels ascending, children ordered by smallest own label."""
     return t.canonical()
@@ -260,16 +251,9 @@ def make_tn(n: int) -> Arbor:
 
 
 def constraints(t: Arbor) -> list:
-    """One Constraint per vertex, in root-first depth-first order with
-    children by smallest label.  An explicit stack keeps deep arbors clear
-    of the recursion limit."""
-    out, stack = [], [t.root]
-    while stack:
-        vid = stack.pop()
-        support = t.subtree_labels(vid)
-        out.append(Constraint(support, len(support)))
-        stack.extend(sorted(t.children[vid], key=lambda c: min(t.vertices[c]), reverse=True))
-    return out
+    """One Constraint per vertex, in the stored pre-order: root first, depth
+    first, children by smallest own label."""
+    return [Constraint(s := t.subtree_labels(vid), len(s)) for vid, _ in t._preorder]
 
 
 # -- seeded random corpus --------------------------------------------------------

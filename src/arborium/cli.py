@@ -9,11 +9,10 @@ Commands:
 Exit codes: 0 success, 1 verification or oracle disagreement, 2 usage or
 parse errors.  The environment variable ARBORIUM_ORDER overrides the
 default series order.  Every size input has an upper limit below.  Bad
-input raises UsageError, or ArborError from reading an arbor, before any
-work starts, and main alone turns either into "error: ..." and exit 2.
-main treats every ArborError as bad input, also one raised during the
-work; any other exception raised during the work is a defect and
-propagates, so it cannot pass for a usage error.
+input raises UsageError before any work starts (an ArborError from reading
+an arbor is turned into one), and main alone turns it into "error: ..." and
+exit 2.  Any exception raised during the work, an ArborError included, is a
+defect and propagates, so it cannot pass for a usage error.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import sys
 
 from .algebra import MultiPoly, poly_to_terms
 from .arbor import ArborError, make_tn, parse_arbor, serialize_arbor
-from .crosscheck import corpus_check, cross_check
+from .crosscheck import check_point_limit, corpus_check, cross_check
 from .invariants import INVARIANT_NAMES, compute_invariants
 from .verify import DEFAULT_ORDER, THEOREMS, VERIFIERS
 
@@ -35,13 +34,22 @@ from .verify import DEFAULT_ORDER, THEOREMS, VERIFIERS
 MAX_ORDER = 52          # verify --order / ARBORIUM_ORDER: all four theorems, 8.6 s
 MAX_COMPUTE_SIZE = 30   # compute --tn / --arbor size: every invariant, 1.1 s at most
                         # (16 random arbors 0.6-1.1 s, t_30 0.9 s, 30-deep path 0.5 s)
-MAX_TN = 800_000        # tn N: 10.4 s, mostly building and validating the arbor
+MAX_TN = 800_000        # tn N: 7.2 s, best of 3; building t_N takes 5.4-6.6 s of it
+                        # (validating 1.6-2.1 s), writing its text 0.8-1.4 s
 MAX_PER_SIZE = 40       # oracle-check --per-size: 1.5-1.7 s on the default seed
 
 
 class UsageError(Exception):
     """Bad command-line input, found before any work starts; main prints it
     as "error: ..." and exits 2."""
+
+
+def _read(reader, *args):
+    """reader(*args) on command-line input; an ArborError becomes a UsageError."""
+    try:
+        return reader(*args)
+    except ArborError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _default_order() -> int:
@@ -125,13 +133,13 @@ def _compute_arbor(args):
     """The arbor named by --arbor or --tn, refused above MAX_COMPUTE_SIZE before
     t_N is built."""
     if args.arbor:
-        t = parse_arbor(args.arbor)
+        t = _read(parse_arbor, args.arbor)
         size = t.size
     else:
         t, size = None, args.tn
     if size > MAX_COMPUTE_SIZE:
         raise UsageError(f"arbor size {size} exceeds the compute limit {MAX_COMPUTE_SIZE}")
-    return t if t is not None else make_tn(size)
+    return t if t is not None else _read(make_tn, size)
 
 
 def cmd_compute(args) -> int:
@@ -171,8 +179,9 @@ def cmd_oracle_check(args) -> int:
     if args.per_size > MAX_PER_SIZE:
         raise UsageError(f"--per-size {args.per_size} exceeds the limit {MAX_PER_SIZE}")
     if args.arbor:
-        # cross_check raises ArborError for too many points before any oracle work
-        outcomes = cross_check(parse_arbor(args.arbor))
+        t = _read(parse_arbor, args.arbor)
+        _read(check_point_limit, t)
+        outcomes = cross_check(t)
     else:
         # In JSON mode the header goes to stderr, so stdout stays one JSON document.
         print(f"corpus: seed={args.seed} per_size={args.per_size} sizes 1..6",
@@ -199,7 +208,7 @@ def cmd_oracle_check(args) -> int:
 def cmd_tn(args) -> int:
     if args.n > MAX_TN:
         raise UsageError(f"n = {args.n} exceeds the limit {MAX_TN}")
-    print(serialize_arbor(make_tn(args.n)))
+    print(serialize_arbor(_read(make_tn, args.n)))
     return 0
 
 
@@ -209,7 +218,7 @@ def main(argv=None) -> int:
                 "oracle-check": cmd_oracle_check, "tn": cmd_tn}
     try:
         return handlers[args.command](args)
-    except (ArborError, UsageError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,10 +7,12 @@ interpolation through the multichain censuses at m = 2..n+3) the zeta
 comparison falls back to comparing Z(m, X) with the censuses at m = 2, 3, 4,
 read off one multichain sweep of two zeta-matrix products.
 
-The oracles hold the point poset and its zeta matrix in memory, which is
-quadratic in |P|, so cross_check refuses an arbor with more than
-_MAX_POINTS points with an ArborError before any oracle work.  Every 0/1
-vector is a point, so 2^n > _MAX_POINTS rules an arbor out at once;
+The oracles hold the point poset and its zeta matrix in memory: a |P|^2
+bool matrix and the multichain sweep's float64 copy, 9 |P|^2 bytes (576 MiB
+at oracle.MAX_POINTS, the largest |P| whose float64 residues stay exact;
+t_11 with 7168 points fits, t_12 with 15360 does not).  cross_check first
+calls check_point_limit, which raises ArborError above that limit.  Every
+0/1 vector is a point, so 2^n > MAX_POINTS rules an arbor out at once;
 otherwise |P| is read off the Ehrhart recursion at u = 1.
 """
 
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 from .algebra import InterpolationError, MultiPoly, laplace_laurent, poly_from_counts
 from .arbor import Arbor, ArborError, random_corpus, serialize_arbor
 from . import invariants, oracle
+from .oracle import MAX_POINTS
 
 # Above this poset size, skip full zeta interpolation and the Ehrhart and
 # volume checks and use spot multichain evaluations instead.  The skipped
@@ -29,12 +32,6 @@ from . import invariants, oracle
 # build included, about 0.1 s (best of 3, shared 2-CPU VM).  The limit stays
 # until perfbench/pinned.json re-pins the figure arbor's output.
 _SPOT_LIMIT = 1500
-
-# Largest |P| the oracles accept, and the largest that the multichain
-# sweep's float64 residues keep exact.  The poset holds a |P|^2 bool matrix
-# and the sweep one float64 copy of it, 9 |P|^2 bytes together (576 MiB at
-# the limit).  t_11 (7168 points) fits; t_12 (15360) does not.
-_MAX_POINTS = 8192
 
 
 @dataclass
@@ -51,18 +48,24 @@ def _outcome(text, name, lhs, rhs) -> CheckOutcome:
     return CheckOutcome(text, name, ok, detail)
 
 
+def check_point_limit(t: Arbor) -> None:
+    """Raise ArborError if the arbor has more than MAX_POINTS points; the
+    size alone decides first, so a deep arbor is refused without counting."""
+    if 2 ** t.size > MAX_POINTS:
+        raise ArborError(f"arbor of size {t.size} has at least 2^{t.size} points; "
+                         f"oracle checks stop at {MAX_POINTS}")
+    points = sum(invariants.ehrhart_heights(t, 1))
+    if points > MAX_POINTS:
+        raise ArborError(f"arbor has {points} points; oracle checks stop at {MAX_POINTS}")
+
+
 def cross_check(t: Arbor) -> list:
     """All recursion/oracle agreements and cross identities for one arbor.
 
-    Raises ArborError if the arbor has more than _MAX_POINTS points.  An
-    interpolation that breaks its degree bound is a failed check (a defect),
-    and the checks that need its polynomial are left out."""
-    if 2 ** t.size > _MAX_POINTS:
-        raise ArborError(f"arbor of size {t.size} has at least 2^{t.size} points; "
-                         f"oracle checks stop at {_MAX_POINTS}")
-    points = sum(invariants.ehrhart_heights(t, 1))
-    if points > _MAX_POINTS:
-        raise ArborError(f"arbor has {points} points; oracle checks stop at {_MAX_POINTS}")
+    Raises ArborError from check_point_limit first.  An interpolation that
+    breaks its degree bound is a failed check (a defect), and the checks that
+    need its polynomial are left out."""
+    check_point_limit(t)
     text = serialize_arbor(t)
     out = []
     P = oracle.build_poset(t)

@@ -151,16 +151,19 @@ def build_poset(t: Arbor) -> Poset:
 
 # -- multichain counting -------------------------------------------------------
 
-# The largest primes below 2^40, largest first.  Each satisfies
-# p * 8192 <= 2^53, so for |P| <= 8192 every float64 sum of |P| residues is
-# an exact integer; six of them cover every census up to 2^239.
+# The largest primes below 2^40, largest first; six of them cover every
+# census up to 2^239.
 _PRIMES = (1099511627689, 1099511627609, 1099511627581,
            1099511627573, 1099511627563, 1099511627491)
+
+# Largest |P| the oracles accept: p * MAX_POINTS <= 2^53 for every p above,
+# so every float64 sum of |P| residues is an exact integer.  It is 8192.
+MAX_POINTS = 2 ** 53 // _PRIMES[0]
 
 
 def _moduli(size: int, top: int) -> tuple:
     """The fewest primes of _PRIMES whose product exceeds size^(top-1)."""
-    if size * _PRIMES[0] > 2 ** 53:
+    if size > MAX_POINTS:
         raise ValueError(f"|P| = {size} is too large for exact float64 residues")
     bound, modulus = size ** (top - 1), 1
     for k, p in enumerate(_PRIMES, 1):

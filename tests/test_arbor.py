@@ -207,12 +207,52 @@ def test_equality_ignores_vertex_ids_and_child_order():
 
 
 def test_direct_construction_validation():
-    with pytest.raises(ArborError):
-        Arbor(0, {0: {1}, 1: {2}}, {0: [], 1: []})  # vertex 1 unreachable
-    with pytest.raises(ArborError):
-        Arbor(0, {0: set()}, {0: []})
-    with pytest.raises(ArborError):
-        Arbor(0, {0: {1}, 1: {1}}, {0: [1], 1: []})
+    cases = [
+        ({0: {1}, 1: {2}}, {0: [], 1: []}, "children relation does not span every vertex"),
+        ({0: set()}, {0: []}, "empty label set"),
+        ({0: {1}, 1: {1}}, {0: [1], 1: []}, "duplicate label 1"),
+        ({0: {1}}, {0: [5]}, "children relation does not span every vertex"),  # no vertex 5
+        ({0: {1}, 1: {2}}, {0: [1], 1: [0]}, "children relation contains a cycle"),
+        ({0: {1}, 1: {2}, 2: {3}}, {0: [1], 1: [2], 2: [1]}, "vertex has two parents"),
+        ({0: {1}, 1: {2}, 2: {3}}, {1: [2], 2: [1]},
+         "children relation does not span every vertex"),  # a cycle the root cannot reach
+        ({0: {1}}, {0: [0]}, "children relation contains a cycle"),
+        ({0: {1}, 1: {2}}, {0: [1], 1: [1]}, "vertex has two parents"),
+        ({0: {1}, 1: {2}, 2: {3}}, {0: [1, 2], 1: [2]}, "vertex has two parents"),
+        ({0: {1}, 1: {2}}, {0: [1, 1]}, "vertex has two parents"),
+    ]
+    for vertices, children, message in cases:
+        with pytest.raises(ArborError) as err:
+            Arbor(0, vertices, children)
+        assert str(err.value) == message, (vertices, children)
+
+
+def _reference(vertices, children, vid):
+    """Canonical text and constraints of the sub-tree at vid, by plain
+    recursion over children sorted by smallest own label."""
+    kids = [_reference(vertices, children, c)
+            for c in sorted(children[vid], key=lambda c: min(vertices[c]))]
+    text = "{%s}" % ",".join(map(str, sorted(vertices[vid])))
+    if kids:
+        text += "(" + ",".join(kid_text for kid_text, _ in kids) + ")"
+    support = frozenset(vertices[vid]).union(*(kid_cons[0].support for _, kid_cons in kids))
+    return text, [Constraint(support, len(support))] + [c for _, cons in kids for c in cons]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2 ** 32))
+def test_walk_matches_a_recursive_reference(n, seed):
+    # rebuilt with arbitrary vertex ids and shuffled stored child order
+    rng = random.Random(seed)
+    t = random_arbor(n, rng)
+    ids = dict(zip(t.vertices, rng.sample([*range(-50, 50), *"abcdefghij"], len(t.vertices))))
+    vertices = {ids[v]: labels for v, labels in t.vertices.items()}
+    children = {ids[v]: rng.sample([ids[c] for c in kids], len(kids))
+                for v, kids in t.children.items()}
+    rebuilt = Arbor(ids[t.root], vertices, children)
+    text, cons = _reference(vertices, children, ids[t.root])
+    assert serialize_arbor(rebuilt) == serialize_arbor(t) == text
+    assert constraints(rebuilt) == constraints(t) == cons
 
 
 def test_random_corpus_deterministic():

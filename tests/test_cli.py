@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from arborium import invariants, oracle
+from arborium import invariants, oracle, verify
 from arborium.algebra import gens, poly_from_terms
 from arborium.arbor import ArborError, make_tn, parse_arbor
 from arborium.cli import MAX_COMPUTE_SIZE, MAX_ORDER, MAX_PER_SIZE, MAX_TN, build_parser, main
@@ -270,6 +270,18 @@ def test_a_defect_during_work_is_not_a_usage_error(capsys, monkeypatch):
     with pytest.raises(ValueError, match="boom"):
         main(["oracle-check", "--arbor", "{1}"])
     assert "error: boom" not in capsys.readouterr().err
+
+
+def test_an_arbor_error_during_work_is_not_a_usage_error(capsys, monkeypatch):
+    # only reading input turns an ArborError into exit 2; verify builds its
+    # own arbors, so one raised there is a defect and propagates
+    def broken(n):
+        raise ArborError("t_n requires n >= 1")
+
+    monkeypatch.setattr(verify, "make_tn", broken)
+    with pytest.raises(ArborError, match="requires"):
+        main(["verify", "--theorem", "zeta", "--order", "2"])
+    assert capsys.readouterr().err == ""
 
 
 def test_oracle_check_corpus_small(capsys):

@@ -14,8 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 from arborium import oracle
 from arborium.algebra import MultiPoly, gens
 from arborium.arbor import Arbor, constraints, make_tn, parse_arbor, random_arbor, random_corpus
-from arborium.crosscheck import _MAX_POINTS
 from arborium.oracle import (
+    MAX_POINTS,
     _PRIMES,
     Poset,
     _moduli,
@@ -298,12 +298,13 @@ def _plain_census(P, top):
 def test_residue_primes():
     assert list(_PRIMES) == sorted(set(_PRIMES), reverse=True)
     for p in _PRIMES:
-        assert sympy.isprime(p) and p * _MAX_POINTS <= 2 ** 53
-    # cross_check's largest census: |P| <= _MAX_POINTS and top = n + 3 with
-    # 2^n <= _MAX_POINTS, so n <= 13
-    n = _MAX_POINTS.bit_length() - 1
-    assert n == 13 and prod(_PRIMES) > _MAX_POINTS ** (n + 3 - 1)
-    assert _moduli(_MAX_POINTS, n + 3) == _PRIMES[:5]
+        assert sympy.isprime(p) and p * MAX_POINTS <= 2 ** 53
+    assert MAX_POINTS == 8192
+    # cross_check's largest census: |P| <= MAX_POINTS and top = n + 3 with
+    # 2^n <= MAX_POINTS, so n <= 13
+    n = MAX_POINTS.bit_length() - 1
+    assert n == 13 and prod(_PRIMES) > MAX_POINTS ** (n + 3 - 1)
+    assert _moduli(MAX_POINTS, n + 3) == _PRIMES[:5]
 
 
 def test_residue_primes_are_the_fewest_that_cover():
@@ -329,7 +330,7 @@ def test_multichain_counts_match_the_plain_loop(size, seed, top):
 
 def test_multichain_counts_refuse_a_poset_beyond_the_residue_bound():
     # leq is a placeholder: the size check must come before any array is built
-    P = Poset(list(range(_MAX_POINTS + 1)), [0] * (_MAX_POINTS + 1), None)
+    P = Poset(list(range(MAX_POINTS + 1)), [0] * (MAX_POINTS + 1), None)
     with pytest.raises(ValueError):
         multichain_weight_counts(P, 2)
 
