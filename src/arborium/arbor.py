@@ -242,12 +242,10 @@ def make_tn(n: int) -> Arbor:
     """The fan arbor t_n: a size-1 root {1} with n-1 size-1 leaf children."""
     if n < 1:
         raise ArborError("t_n requires n >= 1")
-    vertices = {0: {1}}
-    children = {0: list(range(1, n))}
-    for i in range(2, n + 1):
-        vertices[i - 1] = {i}
-        children[i - 1] = []
-    return Arbor(0, vertices, children)
+    # Frozensets and a tuple, with no entries for the leaves, so that
+    # Arbor.__init__ keeps these objects instead of building second copies.
+    vertices = {vid: frozenset((vid + 1,)) for vid in range(n)}
+    return Arbor(0, vertices, {0: tuple(range(1, n))})
 
 
 def constraints(t: Arbor) -> list:

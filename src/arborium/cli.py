@@ -34,8 +34,8 @@ from .verify import DEFAULT_ORDER, THEOREMS, VERIFIERS
 MAX_ORDER = 52          # verify --order / ARBORIUM_ORDER: all four theorems, 8.6 s
 MAX_COMPUTE_SIZE = 30   # compute --tn / --arbor size: every invariant, 1.1 s at most
                         # (16 random arbors 0.6-1.1 s, t_30 0.9 s, 30-deep path 0.5 s)
-MAX_TN = 800_000        # tn N: 7.2 s, best of 3; building t_N takes 5.4-6.6 s of it
-                        # (validating 1.6-2.1 s), writing its text 0.8-1.4 s
+MAX_TN = 800_000        # tn N: 3.5-3.7 s and 577 MB peak RSS; building t_N takes
+                        # 2.6-3.5 s of it (validating 1.3-2.1 s), writing its text 0.8-1.3 s
 MAX_PER_SIZE = 40       # oracle-check --per-size: 1.5-1.7 s on the default seed
 
 

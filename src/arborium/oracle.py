@@ -6,17 +6,21 @@ It fixes one coordinate per step for a whole block of prefixes at once, in
 int64 numpy arrays, depth-first over blocks of at most _BLOCK rows, so the
 counter's memory is bounded by the block size, not by the number of
 points; nothing here recurses, so deep arbors need no stack.  The order of
-the point poset is an AND of bit-packed per-coordinate up-sets, multichain
-counts for every m come from one sweep of the zeta matrix, and the Moebius
-tables are computed from first principles.  Every census is turned into a
-polynomial once, by poly_from_counts; the zeta oracle makes one
-interpolation through the censuses at m = 2..n+3.  Everything is exact:
-Python integers, numpy bool and int64 arrays under explicit bounds that
-rule out int64 overflow, and float64 only for residues modulo primes below
-2^53 / |P|, whose sums of |P| terms are exact integers (recombined by the
-Chinese remainder theorem).  numpy is imported by the functions that use
-it, so importing the package (and the CLI's verify and compute paths) does
-not load it.
+the point poset is an AND of bit-packed per-coordinate up-sets.  Multichain
+counts for every m come from one sweep of the zeta matrix, run one column
+panel of _PANEL columns at a time, so besides the bool matrix it holds one
+float64 panel, not a float64 copy of the whole matrix.  The M-triangle
+oracle solves the zeta matrix against the height bins by back-substitution,
+and the sparse Moebius table is computed from first principles.  Every
+census is turned into a polynomial once, by poly_from_counts; the zeta
+oracle makes one interpolation through the censuses at m = 2..n+3.
+Everything is exact: Python integers, numpy bool and int64 arrays under
+explicit bounds that rule out int64 overflow, and float64 only where every
+partial sum is an integer below 2^53: residues modulo primes below
+2^53 / |P| (recombined by the Chinese remainder theorem), and the Moebius
+solve while max|V| * |P| < 2^53.  numpy is imported by the functions that
+use it, so importing the package (and the CLI's verify and compute paths)
+does not load it.
 """
 
 from __future__ import annotations
@@ -32,6 +36,10 @@ from .arbor import Arbor, constraints
 # The most prefixes one step of the lattice walk creates; it bounds the
 # walk's memory.
 _BLOCK = 4096
+
+# How many columns of the zeta matrix the multichain sweep converts to
+# float64 at a time; it bounds the sweep's memory.
+_PANEL = 128
 
 
 def _children(rows, lo, taken):
@@ -177,13 +185,22 @@ def multichain_weight_counts(P: Poset, top: int) -> dict:
     """Weighted multichain census for every integer m = 2..top.
 
     Returns {m: {height h: number of multichains e_1 <= ... <= e_{m-1} whose
-    top element has height h}}.  One sweep from the all-ones vector applies
+    top element has height h}}.  A sweep from the all-ones vector applies
     the zeta matrix Z once per step, so census m reads the vector after m-2
     products, binned by height through the 0/1 matrix H[b, h] = [ht(b) = h].
 
-    The sweep runs in float64 modulo k primes p at once, vec = fmod(vec @ Z, p).
-    Every entry of vec is below p and Z and H are 0/1, so every partial sum
-    of vec @ Z and vec @ H, in whatever order BLAS adds, is an integer below
+    Lex order is a linear extension, so Z is upper triangular and columns
+    [c0, c1) of a step read only columns < c1 of the step before.  The sweep
+    therefore runs one column panel of _PANEL columns at a time: the panel
+    Z[:c1, c0:c1] is converted to float64 once and every step is applied to
+    it, vecs[i, :, c0:c1] = fmod(vecs[i-1, :, :c1] @ panel, p).  Beyond the
+    bool matrix it holds one panel and the vectors of all steps, about
+    8 |P| (_PANEL + k (top - 1)) bytes for k primes (the panel is 8 MiB at
+    MAX_POINTS), and converts each entry of Z once per call.
+
+    The sweep runs in float64 modulo k primes p at once.  Every entry of a
+    vector is below p and Z and H are 0/1, so every partial sum of a panel
+    product or of vec @ H, in whatever order BLAS adds, is an integer below
     |P| * p <= 2^53 and thus exact; the binned sums are congruent to the
     counts modulo p.  Every count of census m is at most |P|^(m-1), and the
     primes are the fewest whose product exceeds |P|^(top-1), so the Chinese
@@ -199,17 +216,17 @@ def multichain_weight_counts(P: Poset, top: int) -> dict:
     weights = [modulus // p * pow(modulus // p, -1, p) for p in primes]
     column = {h: j for j, h in enumerate(dict.fromkeys(P.heights))}
     hmat = np.eye(len(column))[[column[h] for h in P.heights]]
-    zmat = P.leq.astype(np.float64)
     mods = np.array(primes, dtype=np.float64)[:, None]
-    vec = np.ones((len(primes), P.size))
-    out = {}
-    for m in range(2, top + 1):
-        if m > 2:
-            vec = np.fmod(vec @ zmat, mods)
-        binned = (vec @ hmat).astype(np.int64).T.tolist()
-        out[m] = {h: sum(map(mul, residues, weights)) % modulus
-                  for h, residues in zip(column, binned)}
-    return out
+    vecs = np.ones((top - 1, len(primes), P.size))  # vecs[i] is census m = i + 2
+    for c0 in range(0, P.size, _PANEL):
+        c1 = min(c0 + _PANEL, P.size)
+        panel = P.leq[:c1, c0:c1].astype(np.float64)
+        for i in range(1, top - 1):
+            vecs[i, :, c0:c1] = np.fmod(vecs[i - 1, :, :c1] @ panel, mods)
+    binned = (vecs @ hmat).astype(np.int64).transpose(0, 2, 1).tolist()
+    return {m: {h: sum(map(mul, residues, weights)) % modulus
+                for h, residues in zip(column, rows)}
+            for m, rows in enumerate(binned, 2)}
 
 
 def zeta_oracle(P: Poset) -> MultiPoly:
@@ -263,21 +280,24 @@ def m_triangle_oracle(P: Poset) -> MultiPoly:
 
     Z is the 0/1 zeta matrix P.leq, whose inverse is the Moebius matrix by
     definition; lex order is a linear extension, so Z is upper unitriangular.
-    H[b, h] = [ht(b) = h].  Back-substitution solves Z V = H in int64,
-    V[a] = H[a] - Z[a, a+1:] @ V[a+1:].  If max|V| * |P| < 2^62 then Z V
-    fits int64 and agrees with H modulo 2^64, so it equals H and V is
-    exact (and so is H^T V); otherwise OverflowError is raised.
+    H[b, h] = [ht(b) = h].  Back-substitution solves Z V = H in float64, one
+    row at a time from the bottom, V[a] = H[a] - Z[a, a+1:] @ V[a+1:].  If
+    max|V| * |P| < 2^53 for the final V, every row is exact: the first
+    inexact row would read only exact rows below it, whose entries are
+    entries of the final V, so each partial sum of its product would be an
+    integer below |P| * max|V| < 2^53 and exact after all.  H^T V sums at
+    most |P| entries of V, so it is exact too.  Otherwise OverflowError.
     """
     import numpy as np
 
     n, hmax = P.size, max(P.heights)
-    H = np.eye(hmax + 1, dtype=np.int64)[P.heights]
+    H = np.eye(hmax + 1)[P.heights]
     V = H.copy()
     for a in range(n - 2, -1, -1):
         V[a] -= P.leq[a, a + 1:] @ V[a + 1:]
-    if max(int(V.max()), -int(V.min())) * n >= 2 ** 62:
-        raise OverflowError(f"Moebius solve exceeds the int64 bound on |P| = {n}")
-    table = (H.T @ V).tolist()  # each entry sums at most |P| entries of V
+    if int(np.abs(V).max()) * n >= 2 ** 53:
+        raise OverflowError(f"Moebius solve exceeds the float64 bound on |P| = {n}")
+    table = (H.T @ V).astype(np.int64).tolist()
     return poly_from_counts({(ha, hb): val for ha, row in enumerate(table)
                              for hb, val in enumerate(row)}, "X", "Y")
 

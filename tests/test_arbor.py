@@ -136,6 +136,11 @@ def test_make_tn():
     assert serialize_arbor(make_tn(1)) == "{1}"
     assert serialize_arbor(make_tn(2)) == "{1}({2})"
     assert serialize_arbor(make_tn(5)) == "{1}({2},{3},{4},{5})"
+    for n in range(1, 7):
+        leaves = ",".join(f"{{{i}}}" for i in range(2, n + 1))
+        t = make_tn(n)
+        assert t == parse_arbor(f"{{1}}({leaves})" if leaves else "{1}"), n
+        assert t.size == n and len(t.vertices) == n, n
     with pytest.raises(ValueError):
         make_tn(0)
 

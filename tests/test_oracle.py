@@ -5,6 +5,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from math import comb, prod
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +32,8 @@ from arborium.oracle import (
 )
 
 u, X, Y, E, V, s, v = gens()
+
+FIGURE = "{1,2}({3}({6,7},{8}),{4,5})"
 
 
 def test_enumerate_unit_segment():
@@ -106,7 +109,7 @@ def test_walk_blocks_keep_the_points_and_their_order(monkeypatch, block):
     # prefix's range of values
     cases = [(t, dil) for t in random_corpus(20260809, sizes=range(1, 6), per_size=2)
              for dil in range(3)]
-    cases += [(make_tn(2), 7), (parse_arbor("{1,2}({3}({6,7},{8}),{4,5})"), 1)]
+    cases += [(make_tn(2), 7), (parse_arbor(FIGURE), 1)]
     expected = [(enumerate_points(t, dil), count_points(t, dil)) for t, dil in cases]
     monkeypatch.setattr(oracle, "_BLOCK", block)
     for (t, dil), (points, count) in zip(cases, expected):
@@ -117,7 +120,7 @@ def test_walk_blocks_keep_the_points_and_their_order(monkeypatch, block):
 
 def test_count_points_memory_is_bounded_by_the_block():
     # 14.7 million points; the walk holds at most n + 1 blocks of prefixes
-    t = parse_arbor("{1,2}({3}({6,7},{8}),{4,5})")
+    t = parse_arbor(FIGURE)
     tracemalloc.start()
     try:
         count = count_points(t, 4)
@@ -141,7 +144,7 @@ def test_count_points_refuses_an_int64_overflow():
 
 def test_poset_order_is_the_full_pairwise_comparison():
     arbors = random_corpus(20260809, sizes=range(1, 6), per_size=4)
-    arbors.append(parse_arbor("{1,2}({3}({6,7},{8}),{4,5})"))
+    arbors.append(parse_arbor(FIGURE))
     for t in arbors:
         P = build_poset(t)
         arr = np.array(P.elements, dtype=np.int64)
@@ -236,12 +239,15 @@ def _layered_poset(layers):
 
 
 def test_m_triangle_solve_is_exact_or_raises_overflow():
-    P = _layered_poset(20)
+    # With L layers, |P| = 3L + 2 and max|V| = 3 * 2^(L-1), the bottom row's
+    # sum over the last antichain.  max|V| * |P| is 411 * 2^44 < 2^53 at
+    # L = 45 and 840 * 2^44 >= 2^53 at L = 46.  From 53 layers max|V| itself
+    # passes 2^53, so at 61 and 70 layers float64 rounds V.
+    P = _layered_poset(45)
     m = m_triangle_oracle(P)
     assert m == _binned_mobius_sum(P)
-    assert m.coefficient("X", 0).coefficient("Y", 21).constant_value() == -(2 ** 20)
-    # |mu(bottom, top)| * |P| reaches 2^62 from 61 layers; 70 layers wrap int64
-    for layers in (61, 70):
+    assert m.coefficient("X", 0).coefficient("Y", 46).constant_value() == -(-2) ** 45
+    for layers in (46, 61, 70):
         with pytest.raises(OverflowError):
             m_triangle_oracle(_layered_poset(layers))
 
@@ -326,6 +332,39 @@ def test_multichain_counts_match_the_plain_loop(size, seed, top):
     assert census == _plain_census(P, top)
     assert all(list(got) == list(dict.fromkeys(P.heights)) for got in census.values())
     assert all(type(c) is int for got in census.values() for c in got.values())
+
+
+@pytest.mark.parametrize("panel", [1, 3, 7])
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2 ** 32), st.integers(2, 12))
+@example(6, 0, 12)
+def test_multichain_panels_match_the_plain_loop(panel, size, seed, top):
+    # panels of 1-7 columns split posets of 2-40 points at several edges
+    P = build_poset(random_arbor(size, random.Random(seed)))
+    with mock.patch.object(oracle, "_PANEL", panel):
+        census = multichain_weight_counts(P, top)
+    assert census == _plain_census(P, top)
+
+
+def test_multichain_panels_agree_with_one_panel(monkeypatch):
+    # |P| = 3464 is no multiple of the default panel width
+    P = build_poset(parse_arbor(FIGURE))
+    assert P.size % oracle._PANEL
+    census = multichain_weight_counts(P, 4)
+    monkeypatch.setattr(oracle, "_PANEL", P.size)
+    assert multichain_weight_counts(P, 4) == census
+
+
+def test_multichain_memory_is_bounded_by_the_panel():
+    # the full float64 copy of leq would take 92 MiB; a panel takes 3.4 MiB
+    P = build_poset(parse_arbor(FIGURE))
+    tracemalloc.start()
+    try:
+        multichain_weight_counts(P, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, peak
 
 
 def test_multichain_counts_refuse_a_poset_beyond_the_residue_bound():
