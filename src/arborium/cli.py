@@ -36,7 +36,7 @@ MAX_COMPUTE_SIZE = 30   # compute --tn / --arbor size: every invariant, 1.1 s at
                         # (16 random arbors 0.6-1.1 s, t_30 0.9 s, 30-deep path 0.5 s)
 MAX_TN = 800_000        # tn N: 3.5-3.7 s and 577 MB peak RSS; building t_N takes
                         # 2.6-3.5 s of it (validating 1.3-2.1 s), writing its text 0.8-1.3 s
-MAX_PER_SIZE = 40       # oracle-check --per-size: 1.5-1.7 s on the default seed
+MAX_PER_SIZE = 40       # oracle-check --per-size: 1.2-1.4 s on the default seed
 
 
 class UsageError(Exception):

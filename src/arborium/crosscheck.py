@@ -10,8 +10,10 @@ read off one multichain sweep of two zeta-matrix products.
 The oracles hold the point poset and its zeta matrix in memory: a |P|^2
 bool matrix, 64 MiB at oracle.MAX_POINTS (the largest |P| whose float64
 residues stay exact; t_11 with 7168 points fits, t_12 with 15360 does not),
-plus one float64 column panel of the multichain sweep, 8 MiB there, and
-the sweep's float64 vectors, one per step and prime.  cross_check first
+plus the multichain sweep's float64 panel buffer of _PANEL columns, 8 MiB
+there, and its float64 vectors, one per step and prime, or the Moebius
+solve's float64 H and V, |P| x (top height + 1) each, and one
+_PANEL x _PANEL float64 tile of the zeta matrix.  cross_check first
 calls check_point_limit, which raises ArborError above that limit.  Every
 0/1 vector is a point, so 2^n > MAX_POINTS rules an arbor out at once;
 otherwise |P| is read off the Ehrhart recursion at u = 1.
@@ -29,8 +31,8 @@ from .oracle import MAX_POINTS
 # Above this poset size, skip full zeta interpolation and the Ehrhart and
 # volume checks and use spot multichain evaluations instead.  The skipped
 # checks are no longer costly: on the figure arbor (|P| = 3464) count_points
-# takes 0.01 / 0.06-0.08 / 0.32-0.41 s at u = 2 / 3 / 4 and the full zeta
-# oracle, build included, about 0.055 s (best of 3 in each of three
+# takes 0.01 / 0.06-0.07 / 0.26-0.32 s at u = 2 / 3 / 4 and the full zeta
+# oracle, build included, about 0.05 s (best of 3 in each of three
 # processes, shared 2-CPU VM, numpy 2.4 on OpenBLAS).  The limit stays
 # until perfbench/pinned.json re-pins the figure arbor's output.
 _SPOT_LIMIT = 1500

@@ -5,15 +5,17 @@ the defining inequalities, which both the counter and the enumerator read.
 It fixes one coordinate per step for a whole block of prefixes at once, in
 int64 numpy arrays, depth-first over blocks of at most _BLOCK rows, so the
 counter's memory is bounded by the block size, not by the number of
-points; nothing here recurses, so deep arbors need no stack.  The order of
-the point poset is an AND of bit-packed per-coordinate up-sets.  Multichain
+points; nothing here recurses, so deep arbors need no stack.  The point
+poset lists its points by height, then lex, so each height is one block of
+rows; its order is an AND of bit-packed per-coordinate up-sets.  Multichain
 counts for every m come from one sweep of the zeta matrix, run one column
-panel of _PANEL columns at a time, so besides the bool matrix it holds one
-float64 panel, not a float64 copy of the whole matrix.  The M-triangle
-oracle solves the zeta matrix against the height bins by back-substitution,
-and the sparse Moebius table is computed from first principles.  Every
-census is turned into a polynomial once, by poly_from_counts; the zeta
-oracle makes one interpolation through the censuses at m = 2..n+3.
+panel of _PANEL columns at a time through one reused float64 buffer, not a
+float64 copy of the whole matrix.  The M-triangle oracle solves the zeta
+matrix against the height bins one height level at a time, from the top
+down, in _PANEL x _PANEL tile products; the sparse Moebius table is
+computed from first principles.  Every census is turned into a polynomial
+once, by poly_from_counts; the zeta oracle makes one interpolation through
+the censuses at m = 2..n+3.
 Everything is exact: Python integers, numpy bool and int64 arrays under
 explicit bounds that rule out int64 overflow, and float64 only where every
 partial sum is an integer below 2^53: residues modulo primes below
@@ -38,7 +40,8 @@ from .arbor import Arbor, constraints
 _BLOCK = 4096
 
 # How many columns of the zeta matrix the multichain sweep converts to
-# float64 at a time; it bounds the sweep's memory.
+# float64 at a time, and the side of the Moebius solve's tiles; it bounds
+# the memory of both.
 _PANEL = 128
 
 
@@ -127,8 +130,15 @@ def count_points(t: Arbor, u: int) -> int:
 class Poset:
     """Lattice points of the u=1 dilate under coordinatewise order.
 
-    elements are coordinate tuples (lex order), heights are coordinate
-    sums, and leq is a boolean matrix with leq[a, b] iff a <= b.
+    elements are coordinate tuples, heights are coordinate sums, and leq is
+    a boolean matrix with leq[a, b] iff a <= b.  The elements are in height
+    order: heights are non-decreasing, and points of one height are in lex
+    order.  The height order is a linear extension (a <= b implies
+    ht(a) <= ht(b)), and two points of equal height are comparable only if
+    they are equal.  So leq is upper unitriangular, each height is a
+    contiguous block of rows, and the block of leq on the diagonal at each
+    height is the identity.  multichain_weight_counts and m_triangle_oracle
+    rely on this order.
     """
 
     __slots__ = ("elements", "heights", "leq", "size")
@@ -141,12 +151,20 @@ class Poset:
 
 
 def build_poset(t: Arbor) -> Poset:
+    """The point poset of the u=1 dilate, in height order (see Poset).
+
+    The walk yields the points in lex order; a stable argsort of their
+    coordinate sums puts them in height order and keeps lex order within
+    each height."""
     import numpy as np
 
     points = enumerate_points(t, 1)
     n = len(points)
     arr = np.array(points, dtype=np.int64).reshape(n, t.size)
-    heights = [int(h) for h in arr.sum(axis=1)]
+    order = np.argsort(arr.sum(axis=1), kind="stable")
+    arr = arr[order]
+    points = [points[i] for i in order.tolist()]
+    heights = arr.sum(axis=1).tolist()
     # a <= b iff b lies in the up-set {col_j >= a_j} of every coordinate j.
     # Row v of a coordinate's table is that up-set as packed bits over the
     # points, so a packed row of leq is the AND of one table row per coordinate.
@@ -189,13 +207,14 @@ def multichain_weight_counts(P: Poset, top: int) -> dict:
     the zeta matrix Z once per step, so census m reads the vector after m-2
     products, binned by height through the 0/1 matrix H[b, h] = [ht(b) = h].
 
-    Lex order is a linear extension, so Z is upper triangular and columns
-    [c0, c1) of a step read only columns < c1 of the step before.  The sweep
-    therefore runs one column panel of _PANEL columns at a time: the panel
-    Z[:c1, c0:c1] is converted to float64 once and every step is applied to
-    it, vecs[i, :, c0:c1] = fmod(vecs[i-1, :, :c1] @ panel, p).  Beyond the
-    bool matrix it holds one panel and the vectors of all steps, about
-    8 |P| (_PANEL + k (top - 1)) bytes for k primes (the panel is 8 MiB at
+    The height order is a linear extension, so Z is upper triangular and
+    columns [c0, c1) of a step read only columns < c1 of the step before.
+    The sweep therefore runs one column panel of _PANEL columns at a time:
+    the panel Z[:c1, c0:c1] is copied into one float64 buffer of |P| x _PANEL,
+    allocated once per call, and every step is applied to it,
+    vecs[i, :, c0:c1] = fmod(vecs[i-1, :, :c1] @ panel, p).  Beyond the
+    bool matrix it holds the buffer and the vectors of all steps, about
+    8 |P| (_PANEL + k (top - 1)) bytes for k primes (the buffer is 8 MiB at
     MAX_POINTS), and converts each entry of Z once per call.
 
     The sweep runs in float64 modulo k primes p at once.  Every entry of a
@@ -218,9 +237,11 @@ def multichain_weight_counts(P: Poset, top: int) -> dict:
     hmat = np.eye(len(column))[[column[h] for h in P.heights]]
     mods = np.array(primes, dtype=np.float64)[:, None]
     vecs = np.ones((top - 1, len(primes), P.size))  # vecs[i] is census m = i + 2
+    buf = np.empty((P.size, _PANEL))
     for c0 in range(0, P.size, _PANEL):
         c1 = min(c0 + _PANEL, P.size)
-        panel = P.leq[:c1, c0:c1].astype(np.float64)
+        panel = buf[:c1, :c1 - c0]
+        np.copyto(panel, P.leq[:c1, c0:c1])
         for i in range(1, top - 1):
             vecs[i, :, c0:c1] = np.fmod(vecs[i - 1, :, :c1] @ panel, mods)
     binned = (vecs @ hmat).astype(np.int64).transpose(0, 2, 1).tolist()
@@ -253,7 +274,7 @@ def mobius_oracle(P: Poset) -> dict:
     in height order.  Zeros are never stored, which keeps the inner sums
     proportional to the nonzero support of each row.  m_triangle_oracle
     does not use it; it is the reference that the tests compare the
-    triangular solve with.
+    level solve with.
     """
     import numpy as np
 
@@ -279,22 +300,35 @@ def m_triangle_oracle(P: Poset) -> MultiPoly:
     """Sum of mu(a, b) * X^ht(a) * Y^ht(b) over comparable pairs, as H^T Z^-1 H.
 
     Z is the 0/1 zeta matrix P.leq, whose inverse is the Moebius matrix by
-    definition; lex order is a linear extension, so Z is upper unitriangular.
-    H[b, h] = [ht(b) = h].  Back-substitution solves Z V = H in float64, one
-    row at a time from the bottom, V[a] = H[a] - Z[a, a+1:] @ V[a+1:].  If
-    max|V| * |P| < 2^53 for the final V, every row is exact: the first
-    inexact row would read only exact rows below it, whose entries are
-    entries of the final V, so each partial sum of its product would be an
-    integer below |P| * max|V| < 2^53 and exact after all.  H^T V sums at
-    most |P| entries of V, so it is exact too.  Otherwise OverflowError.
+    definition, and H[b, h] = [ht(b) = h].  Z V = H is solved in float64
+    one height level at a time, from the top level down: with rows [lo, hi)
+    the level, V[lo:hi] = H[lo:hi] - Z[lo:hi, hi:] @ V[hi:].  In height
+    order Z is upper triangular and its diagonal block at each level is the
+    identity, so no level needs a solve inside itself.  Each level's product
+    runs in _PANEL x _PANEL tiles, V[r0:r1] -= Z[r0:r1, c0:c1] @ V[c0:c1],
+    which stay below OpenBLAS's threading threshold and cast one small tile
+    of Z to float64 at a time.
+
+    If max|V| * |P| < 2^53 for the final V, every level is exact, by
+    induction from the top: the top level is H itself, and the first level
+    with an inexact entry would read only rows of the levels above it, which
+    are final, so each partial sum of its tile products, and of H minus
+    them, would be an integer of size at most |P| * max|V| < 2^53 and exact
+    after all.  H^T V sums at most |P| entries of V, so it is exact too.
+    Otherwise OverflowError.
     """
     import numpy as np
 
     n, hmax = P.size, max(P.heights)
     H = np.eye(hmax + 1)[P.heights]
     V = H.copy()
-    for a in range(n - 2, -1, -1):
-        V[a] -= P.leq[a, a + 1:] @ V[a + 1:]
+    ends = np.cumsum(np.bincount(P.heights)).tolist()
+    for lo, hi in reversed(list(zip([0] + ends, ends))):
+        for r0 in range(lo, hi, _PANEL):
+            r1 = min(r0 + _PANEL, hi)
+            for c0 in range(hi, n, _PANEL):
+                c1 = min(c0 + _PANEL, n)
+                V[r0:r1] -= P.leq[r0:r1, c0:c1] @ V[c0:c1]
     if int(np.abs(V).max()) * n >= 2 ** 53:
         raise OverflowError(f"Moebius solve exceeds the float64 bound on |P| = {n}")
     table = (H.T @ V).astype(np.int64).tolist()
@@ -306,13 +340,11 @@ def m_triangle_oracle(P: Poset) -> MultiPoly:
 
 def k_oracle(P: Poset) -> MultiPoly:
     """Sum of X^(nonzero coordinates) * Y^(coordinate sum) over the point poset."""
-    counts = Counter((sum(1 for x in point if x), height)
+    counts = Counter((len(point) - point.count(0), height)
                      for point, height in zip(P.elements, P.heights))
     return poly_from_counts(counts, "X", "Y")
 
 
 def height_distribution_oracle(t: Arbor, m: int) -> MultiPoly:
-    """Points of the m-th dilate weighted by X^height."""
-    if m < 1:
-        raise ValueError("dilation factor must be >= 1")
+    """Points of the m-th dilate weighted by X^height; ValueError if m < 0."""
     return poly_from_counts(Counter(map(sum, enumerate_points(t, m))), "X")

@@ -154,6 +154,21 @@ def test_poset_order_is_the_full_pairwise_comparison():
             assert np.array_equal(P.leq[start:start + 256], full), t
 
 
+def test_poset_is_height_ordered():
+    arbors = random_corpus(20260809, sizes=range(1, 6), per_size=4)
+    arbors.append(parse_arbor(FIGURE))
+    for t in arbors:
+        P = build_poset(t)
+        assert P.heights == [sum(p) for p in P.elements], t
+        assert P.heights == sorted(P.heights), t
+        assert sorted(P.elements) == enumerate_points(t, 1), t
+        ends = np.cumsum(np.bincount(P.heights)).tolist()
+        for lo, hi in zip([0] + ends, ends):
+            level = P.elements[lo:hi]
+            assert level == sorted(level), (t, lo)
+            assert np.array_equal(P.leq[lo:hi, lo:hi], np.eye(hi - lo, dtype=bool)), (t, lo)
+
+
 def test_poset_packing_edge_cases():
     # |P| off a byte boundary (t_1: 2 points, t_2: 5), coordinates up to 5
     # (one root block of five labels), the fan t_6 and a 6-deep path
@@ -229,9 +244,34 @@ def test_m_triangle_solve_matches_mobius_table():
         assert m_triangle_oracle(P) == _binned_mobius_sum(P), t
 
 
+@pytest.mark.parametrize("panel", [1, 3, 7])
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2 ** 32))
+@example(6, 0)
+def test_m_triangle_tiles_match_the_mobius_table(panel, size, seed):
+    # tiles of 1-7 rows and columns split the levels of posets of 2-40 points
+    P = build_poset(random_arbor(size, random.Random(seed)))
+    with mock.patch.object(oracle, "_PANEL", panel):
+        m = m_triangle_oracle(P)
+    assert m == _binned_mobius_sum(P)
+
+
+def test_m_triangle_memory_is_bounded_by_the_tile():
+    # one untiled product per level peaks at 10.5 MiB on the figure arbor;
+    # the 128 x 128 tiles peak at 0.72 MiB
+    P = build_poset(parse_arbor(FIGURE))
+    tracemalloc.start()
+    try:
+        m_triangle_oracle(P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20, peak
+
+
 def _layered_poset(layers):
     # bottom < three-element antichain < ... < three-element antichain < top,
-    # with mu(bottom, top) = -(-2)^layers; index order is a linear extension
+    # with mu(bottom, top) = -(-2)^layers; index order is the height order
     heights = [0] + [h for h in range(1, layers + 1) for _ in range(3)] + [layers + 1]
     hs = np.array(heights)
     leq = (hs[:, None] < hs[None, :]) | np.eye(len(heights), dtype=bool)
@@ -403,6 +443,10 @@ def test_height_distribution():
         expected = sum((X ** k for k in range(m + 1)), MultiPoly.zero())
         assert height_distribution_oracle(make_tn(1), m) == expected
     assert height_distribution_oracle(make_tn(2), 1) == 1 + 2 * X + 2 * X ** 2
+    # the 0th dilate is the origin alone; a negative dilation is refused
+    assert height_distribution_oracle(parse_arbor(FIGURE), 0) == MultiPoly.const(1)
+    with pytest.raises(ValueError):
+        height_distribution_oracle(make_tn(1), -1)
 
 
 def test_height_distribution_total_is_count():
