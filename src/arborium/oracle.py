@@ -311,10 +311,10 @@ def m_triangle_oracle(P: Poset) -> MultiPoly:
 
     If max|V| * |P| < 2^53 for the final V, every level is exact, by
     induction from the top: the top level is H itself, and the first level
-    with an inexact entry would read only rows of the levels above it, which
-    are final, so each partial sum of its tile products, and of H minus
-    them, would be an integer of size at most |P| * max|V| < 2^53 and exact
-    after all.  H^T V sums at most |P| entries of V, so it is exact too.
+    with an inexact entry would read only rows of the levels above it, whose
+    exact entries are entries of the final V, so each partial sum of its
+    tile products, and of H minus them, would be an integer of size at most
+    |P| * max|V| < 2^53 and exact after all.  H^T V sums at most |P| entries of V, so it is exact too.
     Otherwise OverflowError.
     """
     import numpy as np
