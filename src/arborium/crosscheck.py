@@ -5,18 +5,13 @@ brute-force counterpart, together with the linking identities between
 invariants.  For posets too large for the full zeta oracle (one
 interpolation through the multichain censuses at m = 2..n+3) the zeta
 comparison falls back to comparing Z(m, X) with the censuses at m = 2, 3, 4,
-read off one multichain sweep of two zeta-matrix products.
+read off two sweeps of the multichain census.
 
-The oracles hold the point poset and its zeta matrix in memory: a |P|^2
-bool matrix, 64 MiB at oracle.MAX_POINTS (the largest |P| whose float64
-residues stay exact; t_11 with 7168 points fits, t_12 with 15360 does not),
-plus the multichain sweep's float64 panel buffer of _PANEL columns, 8 MiB
-there, and its float64 vectors, one per step and prime, or the Moebius
-solve's float64 H and V, |P| x (top height + 1) each, and one
-_PANEL x _PANEL float64 tile of the zeta matrix.  cross_check first
-calls check_point_limit, which raises ArborError above that limit.  Every
-0/1 vector is a point, so 2^n > MAX_POINTS rules an arbor out at once;
-otherwise |P| is read off the Ehrhart recursion at u = 1.
+The oracles hold O(n |P|) memory: the point poset and its prefix-sum
+steps, one census vector, or the Moebius sweep's |P| x (top height + 1)
+int64 matrix.  cross_check first calls check_point_limit, which raises
+ArborError above MAX_POINTS: at once if 2^n > MAX_POINTS, as every 0/1
+vector is a point, else once the Ehrhart recursion at u = 1 counts |P|.
 """
 
 from __future__ import annotations
@@ -26,14 +21,17 @@ from dataclasses import dataclass
 from .algebra import InterpolationError, MultiPoly, laplace_laurent, poly_from_counts
 from .arbor import Arbor, ArborError, random_corpus, serialize_arbor
 from . import invariants, oracle
-from .oracle import MAX_POINTS
+
+# Largest |P| that cross_check accepts, a time budget.  t_13 has exactly
+# this many points; t_14, with 69632, is refused.
+MAX_POINTS = 2 ** 15
 
 # Above this poset size, skip full zeta interpolation and the Ehrhart and
 # volume checks and use spot multichain evaluations instead.  The skipped
 # checks are no longer costly: on the figure arbor (|P| = 3464) count_points
-# takes 0.01 / 0.06-0.07 / 0.26-0.32 s at u = 2 / 3 / 4 and the full zeta
-# oracle, build included, about 0.05 s (best of 3 in each of three
-# processes, shared 2-CPU VM, numpy 2.4 on OpenBLAS).  The limit stays
+# takes 0.01 / 0.06-0.08 / 0.26-0.38 s at u = 2 / 3 / 4 and the full zeta
+# oracle, build included, 0.010-0.016 s (best of 3 in each of three
+# processes, shared 2-CPU VM, numpy 2.4).  The limit stays
 # until perfbench/pinned.json re-pins the figure arbor's output.
 _SPOT_LIMIT = 1500
 
@@ -54,7 +52,8 @@ def _outcome(text, name, lhs, rhs) -> CheckOutcome:
 
 def check_point_limit(t: Arbor) -> None:
     """Raise ArborError if the arbor has more than MAX_POINTS points; the
-    size alone decides first, so a deep arbor is refused without counting."""
+    size alone decides first (2^n points are 0/1 vectors), so a deep or wide
+    arbor is refused without counting or enumerating a point."""
     if 2 ** t.size > MAX_POINTS:
         raise ArborError(f"arbor of size {t.size} has at least 2^{t.size} points; "
                          f"oracle checks stop at {MAX_POINTS}")

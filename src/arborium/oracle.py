@@ -5,31 +5,22 @@ the defining inequalities, which both the counter and the enumerator read.
 It fixes one coordinate per step for a whole block of prefixes at once, in
 int64 numpy arrays, depth-first over blocks of at most _BLOCK rows, so the
 counter's memory is bounded by the block size, not by the number of
-points; nothing here recurses, so deep arbors need no stack.  The point
-poset lists its points by height, then lex, so each height is one block of
-rows; its order is an AND of bit-packed per-coordinate up-sets.  Multichain
-counts for every m come from one sweep of the zeta matrix, run one column
-panel of _PANEL columns at a time through one reused float64 buffer, not a
-float64 copy of the whole matrix.  The M-triangle oracle solves the zeta
-matrix against the height bins one height level at a time, from the top
-down, in _PANEL x _PANEL tile products; the sparse Moebius table is
-computed from first principles.  Every census is turned into a polynomial
-once, by poly_from_counts; the zeta oracle makes one interpolation through
-the censuses at m = 2..n+3.
-Everything is exact: Python integers, numpy bool and int64 arrays under
-explicit bounds that rule out int64 overflow, and float64 only where every
-partial sum is an integer below 2^53: residues modulo primes below
-2^53 / |P| (recombined by the Chinese remainder theorem), and the Moebius
-solve while max|V| * |P| < 2^53.  numpy is imported by the functions that
-use it, so importing the package (and the CLI's verify and compute paths)
-does not load it.
+points; nothing here recurses, so deep arbors need no stack.
+
+The points of the u=1 dilate are down-closed in N^n, so the zeta transform
+of their poset is n one-axis prefix sums, and its inverse undoes them
+(Stanley, EC1 3.8); see Poset.  The multichain censuses and the M-triangle
+are read off these sweeps; the sparse Moebius table is computed from first
+principles.  Everything is exact: Python ints, and int64 arrays under
+stated bounds.  numpy is imported by the functions that use it, so
+importing the package (and the CLI's verify and compute paths) does not
+load it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from math import prod
-from operator import mul
 
 from .algebra import MultiPoly, lagrange_interpolate, poly_from_counts
 from .arbor import Arbor, constraints
@@ -38,11 +29,6 @@ from .arbor import Arbor, constraints
 # The most prefixes one step of the lattice walk creates; it bounds the
 # walk's memory.
 _BLOCK = 4096
-
-# How many columns of the zeta matrix the multichain sweep converts to
-# float64 at a time, and the side of the Moebius solve's tiles; it bounds
-# the memory of both.
-_PANEL = 128
 
 
 def _children(rows, lo, taken):
@@ -128,126 +114,90 @@ def count_points(t: Arbor, u: int) -> int:
 
 
 class Poset:
-    """Lattice points of the u=1 dilate under coordinatewise order.
+    """A finite down-closed subset of N^n (with each point b, every a >= 0
+    with a <= b) under coordinatewise order.  Lowering a coordinate keeps
+    every inequality of a dilated arbor polytope, so its points qualify.
 
-    elements are coordinate tuples, heights are coordinate sums, and leq is
-    a boolean matrix with leq[a, b] iff a <= b.  The elements are in height
-    order: heights are non-decreasing, and points of one height are in lex
-    order.  The height order is a linear extension (a <= b implies
-    ht(a) <= ht(b)), and two points of equal height are comparable only if
-    they are equal.  So leq is upper unitriangular, each height is a
-    contiguous block of rows, and the block of leq on the diagonal at each
-    height is the identity.  multichain_weight_counts and m_triangle_oracle
-    rely on this order.
+    elements are the points sorted stably by height, their coordinate sum
+    (so build_poset's are lex within a height), heights are those sums, and
+    starts[h] is the index of the first point of height h; every height up
+    to the top is present.  steps holds, for each coordinate j in turn and
+    v = 1, 2, ..., index arrays (idx, nb): idx are the points whose
+    coordinate j is v, and nb their neighbours minus e_j.  Running vec[idx] += vec[nb] over the
+    steps in order is a prefix sum along each coordinate in turn, so it
+    turns vec into vec Z, Z[a, b] = [a <= b]: vec[b] becomes the sum of vec
+    over the box [0, b], which lies in the set.  Undoing the steps in
+    reverse order gives vec Z^-1.  Memory is O(n |P|).
+
+    The neighbours are found by one searchsorted over mixed-radix keys.
+    ValueError if a neighbour is missing, as the points are then not
+    down-closed, the one assumption of the prefix sums; or if the keys pass
+    int64, prod(max_j + 1) > 2^63.  An arbor's coordinates are at most its
+    size n (the root's inequality), so every arbor with n <= 15 fits.
     """
 
-    __slots__ = ("elements", "heights", "leq", "size")
+    __slots__ = ("elements", "heights", "starts", "steps", "size")
 
-    def __init__(self, elements, heights, leq):
-        self.elements = elements
-        self.heights = heights
-        self.leq = leq
-        self.size = len(elements)
+    def __init__(self, points):
+        import numpy as np
+
+        arr = np.array(points, dtype=np.int64)
+        order = np.argsort(arr.sum(axis=1), kind="stable")
+        arr = arr[order]
+        self.elements = [points[i] for i in order.tolist()]
+        self.size = len(self.elements)
+        heights = arr.sum(axis=1)
+        self.heights = heights.tolist()
+        self.starts = np.searchsorted(heights, np.arange(heights[-1] + 1))
+        radix = (arr.max(axis=0) + 1).tolist()
+        if prod(radix) > 2 ** 63:
+            raise ValueError(f"mixed-radix keys over the box {radix} pass 2^63 - 1")
+        strides = np.array([prod(radix[j + 1:]) for j in range(len(radix))], dtype=np.int64)
+        keys = arr @ strides
+        sorter = np.argsort(keys)
+        ranked = keys[sorter]
+        # the nonzero entries (point, j) of arr, grouped by j, then by x_j
+        pts, axes = np.nonzero(arr)
+        group = axes * (int(arr.max()) + 1) + arr[pts, axes]
+        by_group = np.argsort(group, kind="stable")
+        pts, axes, group = pts[by_group], axes[by_group], group[by_group]
+        below = keys[pts] - strides[axes]
+        at = np.searchsorted(ranked, below)
+        if (ranked[at] != below).any():
+            raise ValueError("the points are not down-closed")
+        nb = sorter[at]
+        bounds = [0, *(np.flatnonzero(np.diff(group)) + 1).tolist(), len(group)]
+        self.steps = [(pts[a:b], nb[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def build_poset(t: Arbor) -> Poset:
-    """The point poset of the u=1 dilate, in height order (see Poset).
-
-    The walk yields the points in lex order; a stable argsort of their
-    coordinate sums puts them in height order and keeps lex order within
-    each height."""
-    import numpy as np
-
-    points = enumerate_points(t, 1)
-    n = len(points)
-    arr = np.array(points, dtype=np.int64).reshape(n, t.size)
-    order = np.argsort(arr.sum(axis=1), kind="stable")
-    arr = arr[order]
-    points = [points[i] for i in order.tolist()]
-    heights = arr.sum(axis=1).tolist()
-    # a <= b iff b lies in the up-set {col_j >= a_j} of every coordinate j.
-    # Row v of a coordinate's table is that up-set as packed bits over the
-    # points, so a packed row of leq is the AND of one table row per coordinate.
-    packed = np.full((n, (n + 7) // 8), 0xFF, dtype=np.uint8)
-    for col in arr.T:
-        packed &= np.packbits(np.arange(col.max() + 1)[:, None] <= col, axis=1)[col]
-    leq = np.unpackbits(packed, axis=1, count=n).view(bool)
-    return Poset(points, heights, leq)
+    """The point poset of the u=1 dilate, in height order (see Poset)."""
+    return Poset(enumerate_points(t, 1))
 
 
 # -- multichain counting -------------------------------------------------------
-
-# The largest primes below 2^40, largest first; six of them cover every
-# census up to 2^239.
-_PRIMES = (1099511627689, 1099511627609, 1099511627581,
-           1099511627573, 1099511627563, 1099511627491)
-
-# Largest |P| the oracles accept: p * MAX_POINTS <= 2^53 for every p above,
-# so every float64 sum of |P| residues is an exact integer.  It is 8192.
-MAX_POINTS = 2 ** 53 // _PRIMES[0]
-
-
-def _moduli(size: int, top: int) -> tuple:
-    """The fewest primes of _PRIMES whose product exceeds size^(top-1)."""
-    if size > MAX_POINTS:
-        raise ValueError(f"|P| = {size} is too large for exact float64 residues")
-    bound, modulus = size ** (top - 1), 1
-    for k, p in enumerate(_PRIMES, 1):
-        modulus *= p
-        if modulus > bound:
-            return _PRIMES[:k]
-    raise ValueError(f"multichain counts up to {size}^{top - 1} exceed the residue table")
-
 
 def multichain_weight_counts(P: Poset, top: int) -> dict:
     """Weighted multichain census for every integer m = 2..top.
 
     Returns {m: {height h: number of multichains e_1 <= ... <= e_{m-1} whose
-    top element has height h}}.  A sweep from the all-ones vector applies
-    the zeta matrix Z once per step, so census m reads the vector after m-2
-    products, binned by height through the 0/1 matrix H[b, h] = [ht(b) = h].
-
-    The height order is a linear extension, so Z is upper triangular and
-    columns [c0, c1) of a step read only columns < c1 of the step before.
-    The sweep therefore runs one column panel of _PANEL columns at a time:
-    the panel Z[:c1, c0:c1] is copied into one float64 buffer of |P| x _PANEL,
-    allocated once per call, and every step is applied to it,
-    vecs[i, :, c0:c1] = fmod(vecs[i-1, :, :c1] @ panel, p).  Beyond the
-    bool matrix it holds the buffer and the vectors of all steps, about
-    8 |P| (_PANEL + k (top - 1)) bytes for k primes (the buffer is 8 MiB at
-    MAX_POINTS), and converts each entry of Z once per call.
-
-    The sweep runs in float64 modulo k primes p at once.  Every entry of a
-    vector is below p and Z and H are 0/1, so every partial sum of a panel
-    product or of vec @ H, in whatever order BLAS adds, is an integer below
-    |P| * p <= 2^53 and thus exact; the binned sums are congruent to the
-    counts modulo p.  Every count of census m is at most |P|^(m-1), and the
-    primes are the fewest whose product exceeds |P|^(top-1), so the Chinese
-    remainder theorem recovers each count exactly as a Python int.  A poset
-    too large for the prime table raises ValueError before any array is built.
+    top element has height h}}: the all-ones vector after m-2 zeta sweeps of
+    Poset, summed over each height.  A count of census m is at most
+    |P|^(m-1), and a partial sum of a sweep at most the count it ends in, so
+    the vector is int64 while |P|^(top-1) < 2^63, and Python ints otherwise.
     """
     import numpy as np
 
     if top < 2:
         raise ValueError("multichains need m >= 2")
-    primes = _moduli(P.size, top)
-    modulus = prod(primes)
-    weights = [modulus // p * pow(modulus // p, -1, p) for p in primes]
-    column = {h: j for j, h in enumerate(dict.fromkeys(P.heights))}
-    hmat = np.eye(len(column))[[column[h] for h in P.heights]]
-    mods = np.array(primes, dtype=np.float64)[:, None]
-    vecs = np.ones((top - 1, len(primes), P.size))  # vecs[i] is census m = i + 2
-    buf = np.empty((P.size, _PANEL))
-    for c0 in range(0, P.size, _PANEL):
-        c1 = min(c0 + _PANEL, P.size)
-        panel = buf[:c1, :c1 - c0]
-        np.copyto(panel, P.leq[:c1, c0:c1])
-        for i in range(1, top - 1):
-            vecs[i, :, c0:c1] = np.fmod(vecs[i - 1, :, :c1] @ panel, mods)
-    binned = (vecs @ hmat).astype(np.int64).transpose(0, 2, 1).tolist()
-    return {m: {h: sum(map(mul, residues, weights)) % modulus
-                for h, residues in zip(column, rows)}
-            for m, rows in enumerate(binned, 2)}
+    vec = np.ones(P.size, dtype=np.int64 if P.size ** (top - 1) < 2 ** 63 else object)
+    census = {}
+    for m in range(2, top + 1):
+        if m > 2:
+            for idx, nb in P.steps:
+                vec[idx] += vec[nb]
+        census[m] = dict(enumerate(np.add.reduceat(vec, P.starts).tolist()))
+    return census
 
 
 def zeta_oracle(P: Poset) -> MultiPoly:
@@ -271,67 +221,45 @@ def mobius_oracle(P: Poset) -> dict:
 
     For each bottom element a, the defining recursion
     mu(a, b) = -sum_{a <= e < b} mu(a, e) is replayed over the up-set of a
-    in height order.  Zeros are never stored, which keeps the inner sums
-    proportional to the nonzero support of each row.  m_triangle_oracle
-    does not use it; it is the reference that the tests compare the
-    level solve with.
+    in height order.  Comparability is read off the coordinates (a <= b iff
+    every coordinate of a is at most b's), not off the prefix-sum steps.
+    Zeros are never stored, which keeps the inner sums proportional to the
+    nonzero support of each row.  m_triangle_oracle does not use it; it is
+    a reference that the tests compare the prefix-sum inversion with.
     """
     import numpy as np
 
-    heights = P.heights
-    above = [set(np.nonzero(P.leq[a])[0].tolist()) for a in range(P.size)]
+    arr = np.array(P.elements, dtype=np.int64)
+    above = [set(np.nonzero((arr >= arr[a]).all(axis=1))[0].tolist()) for a in range(P.size)]
     mu: dict = {}
     for a in range(P.size):
-        ups = sorted(above[a], key=lambda i: heights[i])
         row = {a: 1}
-        for b in ups[1:]:
-            s = 0
-            for e, val in row.items():
-                if e != b and b in above[e]:
-                    s += val
+        for b in sorted(above[a])[1:]:  # index order is height order
+            s = sum(val for e, val in row.items() if b in above[e])
             if s:
                 row[b] = -s
-        for b, val in row.items():
-            mu[(a, b)] = val
+        mu.update(((a, b), val) for b, val in row.items())
     return mu
 
 
 def m_triangle_oracle(P: Poset) -> MultiPoly:
-    """Sum of mu(a, b) * X^ht(a) * Y^ht(b) over comparable pairs, as H^T Z^-1 H.
+    """Sum of mu(a, b) * X^ht(a) * Y^ht(b) over comparable pairs, as W^T H.
 
-    Z is the 0/1 zeta matrix P.leq, whose inverse is the Moebius matrix by
-    definition, and H[b, h] = [ht(b) = h].  Z V = H is solved in float64
-    one height level at a time, from the top level down: with rows [lo, hi)
-    the level, V[lo:hi] = H[lo:hi] - Z[lo:hi, hi:] @ V[hi:].  In height
-    order Z is upper triangular and its diagonal block at each level is the
-    identity, so no level needs a solve inside itself.  Each level's product
-    runs in _PANEL x _PANEL tiles, V[r0:r1] -= Z[r0:r1, c0:c1] @ V[c0:c1],
-    which stay below OpenBLAS's threading threshold and cast one small tile
-    of Z to float64 at a time.
+    H[b, h] = [ht(b) = h], and W = Z^-T H, so W[b, h] sums mu(a, b) over
+    the a of height h: Z^T is the zeta sweep of Poset on columns, and W is H
+    with the sweep undone, W[idx] -= W[nb] over the steps in reverse.
 
-    If max|V| * |P| < 2^53 for the final V, every level is exact, by
-    induction from the top: the top level is H itself, and the first level
-    with an inexact entry would read only rows of the levels above it, whose
-    exact entries are entries of the final V, so each partial sum of its
-    tile products, and of H minus them, would be an integer of size at most
-    |P| * max|V| < 2^53 and exact after all.  H^T V sums at most |P| entries of V, so it is exact too.
-    Otherwise OverflowError.
+    Exact in int64: undoing one coordinate's steps makes each entry a
+    difference of two earlier ones, so |W| <= 2^n; and W[b] only ever sums
+    signed rows of H at distinct points below b, so |W| <= |P|.  An entry of
+    W^T H sums |P| entries of W: at most |P|^2 < 2^63 for |P| < 3 * 10^9.
     """
     import numpy as np
 
-    n, hmax = P.size, max(P.heights)
-    H = np.eye(hmax + 1)[P.heights]
-    V = H.copy()
-    ends = np.cumsum(np.bincount(P.heights)).tolist()
-    for lo, hi in reversed(list(zip([0] + ends, ends))):
-        for r0 in range(lo, hi, _PANEL):
-            r1 = min(r0 + _PANEL, hi)
-            for c0 in range(hi, n, _PANEL):
-                c1 = min(c0 + _PANEL, n)
-                V[r0:r1] -= P.leq[r0:r1, c0:c1] @ V[c0:c1]
-    if int(np.abs(V).max()) * n >= 2 ** 53:
-        raise OverflowError(f"Moebius solve exceeds the float64 bound on |P| = {n}")
-    table = (H.T @ V).astype(np.int64).tolist()
+    W = np.eye(len(P.starts), dtype=np.int64)[P.heights]
+    for idx, nb in reversed(P.steps):
+        W[idx] -= W[nb]
+    table = np.add.reduceat(W, P.starts).T.tolist()
     return poly_from_counts({(ha, hb): val for ha, row in enumerate(table)
                              for hb, val in enumerate(row)}, "X", "Y")
 

@@ -183,27 +183,39 @@ def test_oracle_check_single_arbor(capsys):
     assert out.startswith("pass")
 
 
+def tn_text(n):
+    return "{1}(" + ",".join("{%d}" % i for i in range(2, n + 1)) + ")"
+
+
 DEEP_PATH = "".join("{%d}(" % i for i in range(1, 1200)) + "{1200}" + ")" * 1199
 
 
 @pytest.mark.parametrize("text,points", [
     (DEEP_PATH, "of size 1200 has at least 2^1200 points"),
-    ("{1}(" + ",".join("{%d}" % i for i in range(2, 13)) + ")", "has 15360 points"),  # t_12
+    (tn_text(14), "has 69632 points"),
     ("{" + ",".join(str(i) for i in range(1, 13)) + "}", "has 2704156 points"),
-], ids=["path-1200", "t12", "one-vertex-12"])
+], ids=["path-1200", "t14", "one-vertex-12"])
 def test_oracle_check_too_many_points_is_usage_error(capsys, text, points):
     code, out, err = run(capsys, "oracle-check", "--arbor", text)
     assert code == 2
     assert out == ""
-    assert err == f"error: arbor {points}; oracle checks stop at 8192\n"
+    assert err == f"error: arbor {points}; oracle checks stop at 32768\n"
+
+
+def test_oracle_check_runs_past_the_dense_limit(capsys):
+    # t_12 (15360 points) is within the point budget and passes every check
+    code, out, err = run(capsys, "oracle-check", "--arbor", tn_text(12), "--format", "json")
+    assert (code, err) == (0, "")
+    checks = json.loads(out)
+    assert len(checks) == 9 and all(c["passed"] for c in checks)
 
 
 @pytest.mark.parametrize("text", [
     DEEP_PATH,
-    "{" + ",".join(str(i) for i in range(1, 15)) + "}",
-], ids=["path-1200", "one-vertex-14"])
+    "{" + ",".join(str(i) for i in range(1, 17)) + "}",
+], ids=["path-1200", "one-vertex-16"])
 def test_cross_check_size_guard_comes_before_the_point_count(monkeypatch, text):
-    # 2^size > 8192 refuses these arbors at once; counting the points of the
+    # 2^size > 32768 refuses these arbors at once; counting the points of the
     # 1200-deep path with the Ehrhart fold would take over a minute.
     def fail(t, u):
         raise AssertionError("ehrhart_heights ran before the 2^size guard")

@@ -4,22 +4,17 @@ import itertools
 import random
 import tracemalloc
 from fractions import Fraction
-from math import comb, prod
-from unittest import mock
+from math import comb
 
 import numpy as np
 import pytest
-import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from arborium import oracle
-from arborium.algebra import MultiPoly, gens
+from arborium.algebra import MultiPoly, gens, poly_from_counts
 from arborium.arbor import Arbor, constraints, make_tn, parse_arbor, random_arbor, random_corpus
 from arborium.oracle import (
-    MAX_POINTS,
-    _PRIMES,
     Poset,
-    _moduli,
     build_poset,
     count_points,
     enumerate_points,
@@ -142,16 +137,41 @@ def test_count_points_refuses_an_int64_overflow():
             enumerate_points(t, dil)
 
 
-def test_poset_order_is_the_full_pairwise_comparison():
-    arbors = random_corpus(20260809, sizes=range(1, 6), per_size=4)
-    arbors.append(parse_arbor(FIGURE))
-    for t in arbors:
-        P = build_poset(t)
-        arr = np.array(P.elements, dtype=np.int64)
-        for start in range(0, P.size, 256):
-            rows = arr[start:start + 256, None, :]
-            full = (rows <= arr[None, :, :]).all(axis=2)
-            assert np.array_equal(P.leq[start:start + 256], full), t
+def _leq(P):
+    # the order relation, pairwise from the coordinates: leq[a, b] iff a <= b
+    arr = np.array(P.elements, dtype=np.int64)
+    return np.vstack([(arr[lo:lo + 256, None, :] <= arr[None, :, :]).all(axis=2)
+                      for lo in range(0, P.size, 256)])
+
+
+def _level_solve(P, leq):
+    # the dense M-triangle reference: Z V = H solved in int64 one height level
+    # at a time, from the top down, V[lo:hi] = H[lo:hi] - Z[lo:hi, hi:] V[hi:];
+    # in height order Z is upper triangular with an identity block on the
+    # diagonal at each level, so no level needs a solve inside itself
+    H = np.eye(max(P.heights) + 1, dtype=np.int64)[P.heights]
+    V = H.copy()
+    ends = np.cumsum(np.bincount(P.heights)).tolist()
+    for lo, hi in reversed(list(zip([0] + ends, ends))):
+        V[lo:hi] -= leq[lo:hi, hi:].astype(np.int64) @ V[hi:]
+    table = (H.T @ V).tolist()
+    return poly_from_counts({(ha, hb): val for ha, row in enumerate(table)
+                             for hb, val in enumerate(row)}, "X", "Y")
+
+
+def _plain_census(P, top, leq):
+    # the sweep's reference: Python-int totals over leq, one m at a time
+    below = [np.nonzero(leq[:, b])[0].tolist() for b in range(P.size)]
+    totals = [1] * P.size
+    census = {}
+    for m in range(2, top + 1):
+        if m > 2:
+            totals = [sum(totals[a] for a in below[b]) for b in range(P.size)]
+        counts: dict = {}
+        for h, c in zip(P.heights, totals):
+            counts[h] = counts.get(h, 0) + c
+        census[m] = counts
+    return census
 
 
 def test_poset_is_height_ordered():
@@ -162,22 +182,49 @@ def test_poset_is_height_ordered():
         assert P.heights == [sum(p) for p in P.elements], t
         assert P.heights == sorted(P.heights), t
         assert sorted(P.elements) == enumerate_points(t, 1), t
+        assert P.starts.tolist() == [P.heights.index(h) for h in range(P.heights[-1] + 1)], t
         ends = np.cumsum(np.bincount(P.heights)).tolist()
         for lo, hi in zip([0] + ends, ends):
             level = P.elements[lo:hi]
             assert level == sorted(level), (t, lo)
-            assert np.array_equal(P.leq[lo:hi, lo:hi], np.eye(hi - lo, dtype=bool)), (t, lo)
 
 
-def test_poset_packing_edge_cases():
-    # |P| off a byte boundary (t_1: 2 points, t_2: 5), coordinates up to 5
-    # (one root block of five labels), the fan t_6 and a 6-deep path
+def test_poset_refuses_points_that_are_not_down_closed(monkeypatch):
+    # the prefix sums rest on down-closedness, so building checks it
+    for points in ([(0, 0), (1, 1)], [(0, 0), (0, 1), (1, 1)], [(1,)], [(0, 0), (0, 2)]):
+        with pytest.raises(ValueError, match="not down-closed"):
+            Poset(points)
+    assert Poset([(0, 0), (0, 1), (1, 0), (1, 1)]).size == 4
+    # the figure arbor's points without the origin
+    points = enumerate_points(parse_arbor(FIGURE), 1)
+    monkeypatch.setattr(oracle, "enumerate_points", lambda t, dil: points[1:])
+    with pytest.raises(ValueError, match="not down-closed"):
+        build_poset(parse_arbor(FIGURE))
+
+
+def test_poset_refuses_keys_past_int64():
+    # the origin and the d unit vectors are down-closed, and their
+    # mixed-radix keys run up to 2^d - 1
+    def cross(d):
+        return [tuple(int(i == j) for i in range(d)) for j in range(-1, d)]
+
+    assert Poset(cross(63)).size == 64
+    with pytest.raises(ValueError, match="2\\^63"):
+        Poset(cross(64))
+
+
+def test_poset_edge_cases_match_the_references():
+    # t_1 and t_2 (2 and 5 points), coordinates up to 5 (one root block of
+    # five labels), the fan t_6 and a 6-deep path
     cases = [make_tn(1), make_tn(2), parse_arbor("{1,2,3,4,5}"), make_tn(6),
              parse_arbor("{1}({2}({3}({4}({5}({6})))))")]
     for t in cases:
         P = build_poset(t)
-        pairwise = [[all(x <= y for x, y in zip(a, b)) for b in P.elements] for a in P.elements]
-        assert P.leq.dtype == bool and P.leq.tolist() == pairwise, t
+        leq = _leq(P)
+        assert leq.tolist() == [[all(x <= y for x, y in zip(a, b)) for b in P.elements]
+                                for a in P.elements], t
+        assert multichain_weight_counts(P, 8) == _plain_census(P, 8, leq), t
+        assert m_triangle_oracle(P) == _level_solve(P, leq), t
     assert [build_poset(t).size for t in cases[:2]] == [2, 5]
     assert max(map(max, build_poset(cases[2]).elements)) == 5
 
@@ -185,9 +232,10 @@ def test_poset_packing_edge_cases():
 def test_poset_structure_fan_two():
     P = build_poset(make_tn(2))
     assert P.size == 5
-    mins = [i for i in range(P.size) if P.leq[:, i].sum() == 1]
+    leq = _leq(P)
+    mins = [i for i in range(P.size) if leq[:, i].sum() == 1]
     assert [P.elements[i] for i in mins] == [(0, 0)]
-    maxs = [i for i in range(P.size) if P.leq[i, :].sum() == 1]
+    maxs = [i for i in range(P.size) if leq[i, :].sum() == 1]
     assert {P.elements[i] for i in maxs} == {(2, 0), (1, 1)}
     assert P.heights == [sum(p) for p in P.elements]
 
@@ -197,6 +245,22 @@ def test_poset_size_fan_family():
     for n in range(1, 7):
         expected = 2 ** (n - 1) * Fraction(n + 3, 2)
         assert build_poset(make_tn(n)).size == expected
+
+
+def test_figure_oracles_memory_is_linear_in_the_points():
+    # the build, the spot path's census sweep to m = 4 and the Moebius sweep
+    # together peak at about 1.1 MiB on the figure arbor (|P| = 3464); the
+    # |P|^2 order relation alone would take 11.4 MiB
+    t = parse_arbor(FIGURE)
+    tracemalloc.start()
+    try:
+        P = build_poset(t)
+        multichain_weight_counts(P, 4)
+        m_triangle_oracle(P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20, peak
 
 
 def test_mobius_two_chain():
@@ -211,14 +275,15 @@ def test_mobius_two_chain():
 
 def test_mobius_defining_identity():
     P = build_poset(make_tn(3))
+    leq = _leq(P)
     mu = mobius_oracle(P)
     for a in range(P.size):
         for b in range(P.size):
-            if not P.leq[a, b]:
+            if not leq[a, b]:
                 continue
             total = sum(mu.get((a, e), 0)
                         for e in range(P.size)
-                        if P.leq[a, e] and P.leq[e, b])
+                        if leq[a, e] and leq[e, b])
             assert total == (1 if a == b else 0)
 
 
@@ -244,52 +309,12 @@ def test_m_triangle_solve_matches_mobius_table():
         assert m_triangle_oracle(P) == _binned_mobius_sum(P), t
 
 
-@pytest.mark.parametrize("panel", [1, 3, 7])
-@settings(max_examples=20, deadline=None)
-@given(st.integers(1, 6), st.integers(0, 2 ** 32))
-@example(6, 0)
-def test_m_triangle_tiles_match_the_mobius_table(panel, size, seed):
-    # tiles of 1-7 rows and columns split the levels of posets of 2-40 points
-    P = build_poset(random_arbor(size, random.Random(seed)))
-    with mock.patch.object(oracle, "_PANEL", panel):
-        m = m_triangle_oracle(P)
-    assert m == _binned_mobius_sum(P)
-
-
-def test_m_triangle_memory_is_bounded_by_the_tile():
-    # one untiled product per level peaks at 10.5 MiB on the figure arbor;
-    # the 128 x 128 tiles peak at 0.72 MiB
-    P = build_poset(parse_arbor(FIGURE))
-    tracemalloc.start()
-    try:
-        m_triangle_oracle(P)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2 ** 20, peak
-
-
-def _layered_poset(layers):
-    # bottom < three-element antichain < ... < three-element antichain < top,
-    # with mu(bottom, top) = -(-2)^layers; index order is the height order
-    heights = [0] + [h for h in range(1, layers + 1) for _ in range(3)] + [layers + 1]
-    hs = np.array(heights)
-    leq = (hs[:, None] < hs[None, :]) | np.eye(len(heights), dtype=bool)
-    return Poset(list(range(len(heights))), heights, leq)
-
-
-def test_m_triangle_solve_is_exact_or_raises_overflow():
-    # With L layers, |P| = 3L + 2 and max|V| = 3 * 2^(L-1), the bottom row's
-    # sum over the last antichain.  max|V| * |P| is 411 * 2^44 < 2^53 at
-    # L = 45 and 840 * 2^44 >= 2^53 at L = 46.  From 53 layers max|V| itself
-    # passes 2^53, so at 61 and 70 layers float64 rounds V.
-    P = _layered_poset(45)
-    m = m_triangle_oracle(P)
-    assert m == _binned_mobius_sum(P)
-    assert m.coefficient("X", 0).coefficient("Y", 46).constant_value() == -(-2) ** 45
-    for layers in (46, 61, 70):
-        with pytest.raises(OverflowError):
-            m_triangle_oracle(_layered_poset(layers))
+def test_m_triangle_matches_the_dense_level_solve():
+    arbors = random_corpus(20260809, sizes=range(1, 6), per_size=4)
+    arbors.append(parse_arbor(FIGURE))
+    for t in arbors:
+        P = build_poset(t)
+        assert m_triangle_oracle(P) == _level_solve(P, _leq(P)), t
 
 
 def test_multichain_counts_basics():
@@ -305,113 +330,34 @@ def test_multichain_counts_basics():
 
 
 def test_multichain_counts_on_both_sides_of_the_int64_bound():
-    # |P| = 5: the bound 5^29 exceeds one prime, so the sweep carries two
-    # residues; the counts themselves grow only quadratically in m.
+    # |P| = 5: 5^27 < 2^63 <= 5^28, so the sweep is int64 up to top = 28 and
+    # holds Python ints from top = 29; the counts themselves grow only
+    # quadratically in m.
     P = build_poset(make_tn(2))
-    census = multichain_weight_counts(P, 30)
-    assert list(census) == list(range(2, 31))
-    below = [[a for a in range(P.size) if P.leq[a, b]] for b in range(P.size)]
-    totals = [1] * P.size
-    for m in range(2, 31):
-        expected: dict = {}
-        for b, c in enumerate(totals):
-            expected[P.heights[b]] = expected.get(P.heights[b], 0) + c
-        got = census[m]
-        assert got == expected and all(type(c) is int for c in got.values()), m
-        totals = [sum(totals[a] for a in below[b]) for b in range(P.size)]
+    for top in (28, 29):
+        census = multichain_weight_counts(P, top)
+        assert list(census) == list(range(2, top + 1))
+        assert census == _plain_census(P, top, _leq(P)), top
+        assert all(type(c) is int for got in census.values() for c in got.values()), top
     # A 64-element chain: C(b+m-2, m-2) multichains end at element b, which
-    # passes 2^63 from m = 23 (b = 63); 64^29 needs five primes.
-    chain = Poset(list(range(64)), list(range(64)), np.triu(np.ones((64, 64), dtype=bool)))
-    for m, got in multichain_weight_counts(chain, 30).items():
-        assert got == {b: comb(b + m - 2, m - 2) for b in range(64)}, m
-
-
-def _plain_census(P, top):
-    # the sweep's reference: Python-int totals over the leq matrix, one m at a time
-    below = [np.nonzero(P.leq[:, b])[0].tolist() for b in range(P.size)]
-    totals = [1] * P.size
-    census = {}
-    for m in range(2, top + 1):
-        if m > 2:
-            totals = [sum(totals[a] for a in below[b]) for b in range(P.size)]
-        counts: dict = {}
-        for h, c in zip(P.heights, totals):
-            counts[h] = counts.get(h, 0) + c
-        census[m] = counts
-    return census
-
-
-def test_residue_primes():
-    assert list(_PRIMES) == sorted(set(_PRIMES), reverse=True)
-    for p in _PRIMES:
-        assert sympy.isprime(p) and p * MAX_POINTS <= 2 ** 53
-    assert MAX_POINTS == 8192
-    # cross_check's largest census: |P| <= MAX_POINTS and top = n + 3 with
-    # 2^n <= MAX_POINTS, so n <= 13
-    n = MAX_POINTS.bit_length() - 1
-    assert n == 13 and prod(_PRIMES) > MAX_POINTS ** (n + 3 - 1)
-    assert _moduli(MAX_POINTS, n + 3) == _PRIMES[:5]
-
-
-def test_residue_primes_are_the_fewest_that_cover():
-    assert _moduli(2, 12) == _PRIMES[:1]
-    assert _moduli(5, 30) == _PRIMES[:2]
-    assert _moduli(3464, 11) == _PRIMES[:3]
-    with pytest.raises(ValueError):
-        _moduli(2, 300)  # 2^299 exceeds the table's product
+    # passes 2^63 from m = 23 (b = 63); 64^10 < 2^63, so top = 11 is int64.
+    chain = Poset([(b,) for b in range(64)])
+    for top in (11, 30):
+        for m, got in multichain_weight_counts(chain, top).items():
+            assert got == {b: comb(b + m - 2, m - 2) for b in range(64)}, m
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 6), st.integers(0, 2 ** 32), st.integers(2, 12))
-@example(1, 0, 12)  # |P| = 2: one prime
-@example(3, 0, 12)  # two primes
-@example(6, 0, 12)  # three primes
+@example(1, 0, 12)  # |P| = 2: int64
+@example(6, 0, 7)   # |P| = 557: int64, as 557^6 < 2^63
+@example(6, 0, 12)  # Python ints, as 557^11 >= 2^63
 def test_multichain_counts_match_the_plain_loop(size, seed, top):
     P = build_poset(random_arbor(size, random.Random(seed)))
     census = multichain_weight_counts(P, top)
-    assert census == _plain_census(P, top)
+    assert census == _plain_census(P, top, _leq(P))
     assert all(list(got) == list(dict.fromkeys(P.heights)) for got in census.values())
     assert all(type(c) is int for got in census.values() for c in got.values())
-
-
-@pytest.mark.parametrize("panel", [1, 3, 7])
-@settings(max_examples=20, deadline=None)
-@given(st.integers(1, 6), st.integers(0, 2 ** 32), st.integers(2, 12))
-@example(6, 0, 12)
-def test_multichain_panels_match_the_plain_loop(panel, size, seed, top):
-    # panels of 1-7 columns split posets of 2-40 points at several edges
-    P = build_poset(random_arbor(size, random.Random(seed)))
-    with mock.patch.object(oracle, "_PANEL", panel):
-        census = multichain_weight_counts(P, top)
-    assert census == _plain_census(P, top)
-
-
-def test_multichain_panels_agree_with_one_panel(monkeypatch):
-    # |P| = 3464 is no multiple of the default panel width
-    P = build_poset(parse_arbor(FIGURE))
-    assert P.size % oracle._PANEL
-    census = multichain_weight_counts(P, 4)
-    monkeypatch.setattr(oracle, "_PANEL", P.size)
-    assert multichain_weight_counts(P, 4) == census
-
-
-def test_multichain_memory_is_bounded_by_the_panel():
-    # the full float64 copy of leq would take 92 MiB; a panel takes 3.4 MiB
-    P = build_poset(parse_arbor(FIGURE))
-    tracemalloc.start()
-    try:
-        multichain_weight_counts(P, 4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2 ** 20, peak
-
-
-def test_multichain_counts_refuse_a_poset_beyond_the_residue_bound():
-    # leq is a placeholder: the size check must come before any array is built
-    P = Poset(list(range(MAX_POINTS + 1)), [0] * (MAX_POINTS + 1), None)
-    with pytest.raises(ValueError):
-        multichain_weight_counts(P, 2)
 
 
 def test_multichain_totals_monotone():

@@ -1,0 +1,61 @@
+"""Planted defects: a mutant of a recursion must fail an oracle check.
+
+Each row monkeypatches one mutant into ``invariants`` and runs
+``cross_check`` over the default corpus (seed 20260809, sizes 1-6, four
+arbors per size) plus the figure arbor.  The brute-force check of the
+mutated invariant must FAIL, and no exception may escape: a defect in a
+recursion is a failed check, never a crash.  A mutant that passed it would
+mean that oracle is not independent of the recursion it checks.
+"""
+
+import pytest
+
+from arborium import invariants
+from arborium.algebra import MultiPoly, binom_poly, gens, int_binom, poly_counts, poly_from_counts
+from arborium.arbor import parse_arbor
+from arborium.crosscheck import corpus_check, cross_check
+
+u, X, Y, E, V, s, v = gens()
+
+FIGURE = "{1,2}({3}({6,7},{8}),{4,5})"
+
+
+def zeta_step_base_off_by_one(labels, n, kids):
+    # binom_poly(r(u-1)+h, h) in place of binom_poly(r(u-1)+h-1, h)
+    base = len(labels) * (u - 1)
+    return invariants._cut_product([binom_poly(base + h, h) for h in range(n + 1)], kids)
+
+
+def k_step_without_the_support_binomial(labels, n, kids):
+    # drops C(r, l), the choice of which l own coordinates are nonzero
+    r = len(labels)
+    own = [sum((int_binom(h - 1, h - l) * X ** l for l in range(min(h, r) + 1)),
+               MultiPoly.zero())
+           for h in range(n + 1)]
+    return invariants._cut_product(own, kids)
+
+
+def m_from_k_sign_flip(k):
+    # K(1 + 1/X, X*Y): (X+1)^j in place of (X-1)^j
+    terms: dict = {}
+    for (j, h), c in poly_counts(k, "X", "Y").items():
+        for i in range(j + 1):
+            terms[h - i, h] = terms.get((h - i, h), 0) + int_binom(j, i) * c
+    return poly_from_counts(terms, "X", "Y")
+
+
+# (recursion, mutant, the oracle check that must be among the failures)
+PLANTED = [
+    ("_zeta_step", zeta_step_base_off_by_one, "zeta vs multichain oracle"),
+    ("_k_step", k_step_without_the_support_binomial, "k vs point census"),
+    ("m_from_k", m_from_k_sign_flip, "m vs moebius oracle"),
+]
+
+
+@pytest.mark.parametrize("name,mutant,oracle_check", PLANTED,
+                         ids=[row[1].__name__ for row in PLANTED])
+def test_planted_defect_fails_an_oracle_check(monkeypatch, name, mutant, oracle_check):
+    monkeypatch.setattr(invariants, name, mutant)
+    outcomes = corpus_check(20260809) + cross_check(parse_arbor(FIGURE))
+    failed = {o.name for o in outcomes if not o.passed}
+    assert oracle_check in failed, (name, sorted(failed))
