@@ -17,6 +17,11 @@ polynomials have equal representations.  Every total degree stays below
 DEGREE_LIMIT, which keeps each field in range; a product that would reach
 it raises OverflowError.  Other modules read and write terms through
 poly_counts and poly_from_counts; the terms view is for tests and tools.
+
+Newton interpolation, the Laurent window and census polynomials from int
+counts work on these integer numerators over one denominator as well: they
+build no Fraction per term and no intermediate MultiPoly, and canonicalise
+once at the end.
 """
 
 from __future__ import annotations
@@ -444,16 +449,30 @@ def poly_from_counts(counts, *names) -> MultiPoly:
 
     A key is one exponent when one variable is named, else a tuple with one
     exponent per name; a count is an int or a Fraction, and zero counts are
-    dropped.  poly_counts is the inverse.
+    dropped.  When every count is an int they are the numerators over
+    denominator 1 as they stand; otherwise each becomes a Fraction and they
+    go over the lcm of the denominators.  poly_counts is the inverse.
     """
     slots = [_VAR_INDEX[name] for name in names]
     exps = [0] * _NVARS
-    coeffs = {}
+    nums = {}
+    rational = False
     for key, c in counts.items():
         for slot, e in zip(slots, key if len(slots) > 1 else (key,), strict=True):
             exps[slot] = e
-        coeffs[_pack(exps)] = _frac(c)
-    return _from_fractions(coeffs)
+        if type(c) is not int:
+            c = _frac(c)
+            rational = True
+        nums[_pack(exps)] = c
+    if rational:
+        return _from_fractions(nums)
+    return _new({k: c for k, c in nums.items() if c}, 1)
+
+
+def _check_variables(p: MultiPoly, names) -> None:
+    extra = p.variables_used() - set(names)
+    if extra:
+        raise ValueError(f"expected a polynomial in {', '.join(names)}, found {sorted(extra)}")
 
 
 def poly_counts(p: MultiPoly, *names) -> dict:
@@ -461,9 +480,7 @@ def poly_counts(p: MultiPoly, *names) -> dict:
 
     Raises ValueError if p uses a variable that is not named.
     """
-    extra = p.variables_used() - set(names)
-    if extra:
-        raise ValueError(f"expected a polynomial in {', '.join(names)}, found {sorted(extra)}")
+    _check_variables(p, names)
     shifts = [_SHIFTS[_VAR_INDEX[name]] for name in names]
     den = p._den
     if len(shifts) == 1:
@@ -599,33 +616,61 @@ def laplace_laurent(p: MultiPoly, order: int) -> dict:
     V -> 1/v; the coefficient of v^j from a monomial c*V^a*E^b is
     c*(-b)^(j+a)/(j+a)!, which is exact term by term (no working-precision
     truncation is involved).
+
+    The sums run on p's integer numerators over one denominator: with A the
+    top V-degree and F = (order + A)!, every k = j + a is at most order + A,
+    so c*(-b)^k*(F/k!) is an integer, and the coefficient of v^j is the sum
+    of these over F times p's denominator.
     """
-    terms = poly_counts(p, "V", "E")
-    low = -max((a for a, _ in terms), default=0)
-    out = {}
-    for j in range(low, order + 1):
-        acc = Fraction(0)
-        for (a, b), c in terms.items():
-            k = j + a
-            if k >= 0:
-                acc += c * Fraction((-b) ** k, factorial(k))
-        if acc:
-            out[j] = acc
-    return out
+    _check_variables(p, ("V", "E"))
+    v_shift, e_shift = _SHIFTS[_VAR_INDEX["V"]], _SHIFTS[_VAR_INDEX["E"]]
+    terms = [((key >> v_shift) & _MASK, (key >> e_shift) & _MASK, c)
+             for key, c in p._nums.items()]
+    top = max((a for a, _, _ in terms), default=0)
+    width = order + top + 1  # entry i of sums is the numerator of v^(i - top)
+    if width <= 0:
+        return {}
+    weights = [1] * width  # weights[k] = F/k!
+    for k in range(width - 1, 0, -1):
+        weights[k - 1] = weights[k] * k
+    sums = [0] * width
+    for a, b, c in terms:
+        low = top - a  # the entry of v^(-a), where k = 0
+        for i in range(low, width if b else min(low + 1, width)):  # E^0 ends at k = 0
+            sums[i] += c * weights[i - low]
+            c *= -b
+    den = p._den * weights[0]
+    return {i - top: Fraction(num, den) for i, num in enumerate(sums) if num}
 
 
 # -- exact interpolation at consecutive integers -------------------------------
+
+def _numerators(y) -> tuple:
+    """({key: numerator}, denominator) of a polynomial, Fraction or int."""
+    if isinstance(y, MultiPoly):
+        return y._nums, y._den
+    if type(y) is not int:
+        y = _frac(y)
+    return ({0: y.numerator} if y else {}), y.denominator
+
 
 def lagrange_interpolate(samples, degree: int | None = None, var: str = "u") -> MultiPoly:
     """Interpolating polynomial in var through (x, y) samples at consecutive
     integers x_0, x_0 + 1, ...
 
-    Newton's forward differences: p = sum_k D^k y_0 * C(var - x_0, k), with
-    the binomial basis built one factor at a time.  The values y are exact
-    rationals or polynomials free of var.  With an explicit degree bound,
-    every difference above the bound must vanish; a nonzero one raises
-    InterpolationError (it signals a degree-bound bug in the caller, not bad
-    luck).
+    Newton's forward differences: p = sum_k D^k y_0 * C(var - x_0, k).  The
+    values y are exact rationals or polynomials free of var.  With an
+    explicit degree bound, every difference above the bound must vanish; a
+    nonzero one raises InterpolationError (it signals a degree-bound bug in
+    the caller, not bad luck).
+
+    Everything runs on integer numerators over one denominator.  The samples
+    go over D, the lcm of their denominators, and each monomial's column of
+    numerators is differenced on its own; the first nonzero difference above
+    the bound, over all monomials, names the sample.  C(var - x_0, k) is
+    f_k/k!, with f_k = (var - x_0)...(var - x_0 - k + 1) a polynomial with
+    integer coefficients, so p is the integer sum of
+    D^k y_0 * (degree!/k!) * f_k over D * degree!.
     """
     samples = list(samples)
     xs = [x for x, _ in samples]
@@ -638,21 +683,52 @@ def lagrange_interpolate(samples, degree: int | None = None, var: str = "u") -> 
         raise ValueError("degree bound must be non-negative")
     if len(xs) < degree + 1:
         raise ValueError("need at least degree+1 samples")
-    diffs = [y if isinstance(y, MultiPoly) else _frac(y) for _, y in samples]
-    if any(isinstance(y, MultiPoly) and var in y.variables_used() for y in diffs):
+    rows = [_numerators(y) for _, y in samples]
+    shift = _SHIFTS[_VAR_INDEX[var]]
+    if any((key >> shift) & _MASK for nums, _ in rows for key in nums):
         raise ValueError(f"sample values must be free of {var}")
+    if degree >= DEGREE_LIMIT:
+        raise OverflowError(f"product degree reaches the limit {DEGREE_LIMIT}")
 
-    x_var = MultiPoly.variable(var)
-    basis = MultiPoly.const(1)
-    poly = MultiPoly.zero()
-    for k in range(degree + 1):
+    den = lcm(*(d for _, d in rows))
+    columns: dict = {}
+    for i, (nums, d) in enumerate(rows):
+        scale = den // d
+        for key, c in nums.items():
+            columns.setdefault(key, [0] * len(rows))[i] = c * scale
+
+    newton = []  # (key, [D^0 y_0, ..., D^degree y_0]) on the numerators
+    bad = len(rows)  # index of the first nonzero leftover difference, over all keys
+    for key, ys in columns.items():
+        diffs = []
+        for _ in range(degree + 1):
+            diffs.append(ys[0])
+            ys = [b - a for a, b in zip(ys, ys[1:])]
+        if any(diffs[DEGREE_LIMIT - (key >> _DEG_SHIFT):]):  # key * var^k for such k overflows
+            raise OverflowError(f"product degree reaches the limit {DEGREE_LIMIT}")
+        bad = next((i for i, d in enumerate(ys[:bad]) if d), bad)
+        newton.append((key, diffs))
+    if bad < len(rows):
+        raise InterpolationError(f"sample at {var}={xs[degree + 1 + bad]} "
+                                 f"is inconsistent with degree bound {degree}")
+
+    weights = [1] * (degree + 1)  # weights[k] = degree!/k!
+    for k in range(degree, 0, -1):
+        weights[k - 1] = weights[k] * k
+    unit = (1 << _DEG_SHIFT) | (1 << shift)
+    falling = [1]  # coefficients of f_k in var, lowest first
+    basis = []  # per k: (key offset, coefficient) of the nonzero terms of (degree!/k!) * f_k
+    for k, w in enumerate(weights):
         if k:
-            basis = basis * ((x_var - (xs[0] + k - 1)) * Fraction(1, k))
-        if diffs[0] != 0:
-            poly = poly + basis * diffs[0]
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    for i, d in enumerate(diffs):
-        if d != 0:
-            raise InterpolationError(f"sample at {var}={xs[degree + 1 + i]} "
-                                     f"is inconsistent with degree bound {degree}")
-    return poly
+            r = xs[0] + k - 1
+            falling = [a - r * b for a, b in zip([0] + falling, falling + [0])]
+        basis.append([(e * unit, a * w) for e, a in enumerate(falling) if a])
+    nums: dict = {}
+    get = nums.get
+    for key, diffs in newton:
+        for d, terms in zip(diffs, basis):
+            if d:
+                for offset, a in terms:
+                    k = key + offset
+                    nums[k] = get(k, 0) + d * a
+    return _reduced({k: c for k, c in nums.items() if c}, den * weights[0])

@@ -1,10 +1,11 @@
 """Exact-arithmetic kernel tests: ring laws, division, series, interpolation."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from arborium.algebra import (
     DEGREE_LIMIT,
@@ -282,6 +283,186 @@ def test_lagrange_rejects_bad_samples(samples, degree):
     with pytest.raises(ValueError) as info:
         lagrange_interpolate(samples, degree=degree)
     assert not isinstance(info.value, InterpolationError)
+
+
+# -- references: the same two algorithms on MultiPoly and Fraction values ------
+
+def _reference_lagrange(samples, degree=None, var="u"):
+    """Newton's series with the binomial basis built one MultiPoly factor at
+    a time and the differences taken on the sample values themselves."""
+    xs = [x for x, _ in samples]
+    if degree is None:
+        degree = len(xs) - 1
+    diffs = [y if isinstance(y, MultiPoly) else Fraction(y) for _, y in samples]
+    x_var = MultiPoly.variable(var)
+    basis = MultiPoly.const(1)
+    poly = MultiPoly.zero()
+    for k in range(degree + 1):
+        if k:
+            basis = basis * ((x_var - (xs[0] + k - 1)) * Fraction(1, k))
+        if diffs[0] != 0:
+            poly = poly + basis * diffs[0]
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    for i, d in enumerate(diffs):
+        if d != 0:
+            raise InterpolationError(f"sample at {var}={xs[degree + 1 + i]} "
+                                     f"is inconsistent with degree bound {degree}")
+    return poly
+
+
+def _reference_laurent(p, order):
+    """The Laurent window summed one Fraction term at a time."""
+    terms = poly_counts(p, "V", "E")
+    low = -max((a for a, _ in terms), default=0)
+    out = {}
+    for j in range(low, order + 1):
+        acc = Fraction(0)
+        for (a, b), c in terms.items():
+            k = j + a
+            if k >= 0:
+                acc += c * Fraction((-b) ** k, math.factorial(k))
+        if acc:
+            out[j] = acc
+    return out
+
+
+def _interpolation_outcome(interpolate, samples, degree, var):
+    try:
+        p = interpolate(samples, degree=degree, var=var)
+    except InterpolationError as exc:
+        return "error", str(exc)
+    return "value", p, str(p)
+
+
+_rationals = st.fractions(-40, 40, max_denominator=12)
+_xye_polys = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), _rationals, max_size=4).map(
+    lambda counts: poly_from_counts(counts, "X", "Y", "E"))
+
+
+@st.composite
+def _sample_values(draw, values):
+    """values, each constant one passed as it is, as a Fraction or (when
+    integral) as an int."""
+    out = []
+    for y in values:
+        if not y.variables_used():
+            c = y.constant_value()
+            kinds = ["poly", "fraction"] + (["int"] if c.denominator == 1 else [])
+            kind = draw(st.sampled_from(kinds))
+            y = {"poly": y, "fraction": c, "int": c.numerator}[kind]
+        out.append(y)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_lagrange_matches_the_multipoly_reference(data):
+    x0 = data.draw(st.integers(-3, 3))
+    var = data.draw(st.sampled_from(["u", "s"]))
+    value = st.one_of(st.integers(-10 ** 6, 10 ** 6).map(MultiPoly.const),
+                      _rationals.map(MultiPoly.const), _xye_polys)
+    mode = data.draw(st.sampled_from(["free", "bound", "planted"]))
+    if mode == "free":  # no degree bound: any values
+        degree = None
+        values = data.draw(st.lists(value, min_size=1, max_size=7))
+    elif mode == "bound":  # a degree bound and any values: most break it somewhere
+        degree = data.draw(st.integers(0, 3))
+        values = data.draw(st.lists(value, min_size=degree + 1, max_size=degree + 4))
+    else:  # values of a polynomial of degree <= degree, then spare samples, one maybe bad
+        degree = data.draw(st.integers(0, 4))
+        coeffs = data.draw(st.lists(value, min_size=degree + 1, max_size=degree + 1))
+        q = sum((c * MultiPoly.variable(var) ** k for k, c in enumerate(coeffs)), MultiPoly.zero())
+        count = degree + 1 + data.draw(st.integers(0, 3))
+        values = [q.subs({var: x0 + i}) for i in range(count)]
+        if count > degree + 1 and data.draw(st.booleans()):
+            bad = data.draw(st.integers(degree + 1, count - 1))
+            values[bad] = values[bad] + data.draw(value.filter(lambda y: not y.is_zero()))
+            with pytest.raises(InterpolationError, match=f"at {var}={x0 + bad} "):
+                lagrange_interpolate(list(enumerate(values, x0)), degree=degree, var=var)
+        else:
+            assert lagrange_interpolate(list(enumerate(values, x0)), degree=degree, var=var) == q
+    samples = list(enumerate(data.draw(_sample_values(values)), x0))
+    assert (_interpolation_outcome(lagrange_interpolate, samples, degree, var)
+            == _interpolation_outcome(_reference_lagrange, samples, degree, var))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)), _rationals, max_size=6),
+       st.integers(-2, 4))
+@example({}, -2)
+@example({}, 3)
+@example({(3, 0): Fraction(5, 7)}, -2)  # a bare pole V^3
+@example({(2, 0): 1, (1, 0): -3}, 0)
+@example({(0, 0): 1, (1, 0): 1}, -1)  # a constant term whose window starts past the order
+@example({(1, 0): 1, (1, 1): -1}, 4)  # V - E*V, the unit segment
+def test_laplace_laurent_matches_the_fraction_reference(counts, order):
+    p = poly_from_counts(counts, "V", "E")
+    window = laplace_laurent(p, order)
+    assert list(window.items()) == list(_reference_laurent(p, order).items())
+    assert all(type(c) is Fraction for c in window.values())
+
+
+def test_interpolation_and_laurent_make_no_polynomial_arithmetic(monkeypatch):
+    """The integer-numerator paths make no MultiPoly temporaries and no
+    Fraction per term: none in interpolation on int and polynomial samples,
+    one per nonzero coefficient of a Laurent window."""
+    int_samples = [(m, 3 * m ** 4 - m + 7) for m in range(-2, 5)]
+    poly_samples = [(m, m * m * X - m * Y + 1) for m in range(1, 6)]
+    lap = V ** 3 * (1 - E) ** 2 - V * E ** 3
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    def refuse(*_):
+        raise AssertionError("MultiPoly arithmetic")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__neg__", "__pow__", "_add", "_scale", "exact_div", "subs"):
+        monkeypatch.setattr(MultiPoly, name, refuse)
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    interpolated = [lagrange_interpolate(int_samples, degree=4),
+                    lagrange_interpolate(poly_samples, degree=2)]
+    assert made == []
+    window = laplace_laurent(lap, 2)
+    assert len(made) == len(window)
+    monkeypatch.undo()
+    assert interpolated == [3 * u ** 4 - u + 7, u * u * X - u * Y + 1]
+    assert window == _reference_laurent(lap, 2)
+
+
+def test_lagrange_names_the_first_inconsistent_sample_over_all_monomials():
+    # the X and Y columns break degree 0 first at u=1 and u=2; a + b puts a's key first
+    for a, b in ((X, Y), (Y, X)):
+        samples = [(0, a + b), (1, 2 * a + b), (2, 2 * a + 2 * b)]
+        with pytest.raises(InterpolationError, match="u=1 "):
+            lagrange_interpolate(samples, degree=0)
+
+
+def test_lagrange_degree_overflow():
+    top = X ** (DEGREE_LIMIT - 2)
+    with pytest.raises(OverflowError):
+        lagrange_interpolate([(0, top), (1, 2 * top), (2, 4 * top)])
+    assert lagrange_interpolate([(0, top), (1, 2 * top)]) == (1 + u) * top
+    assert lagrange_interpolate([(0, top), (1, top), (2, top)]) == top
+
+
+def test_poly_from_counts_int_path():
+    two = poly_from_counts({0: 2}, "X")
+    assert two._den == 1 and two._nums == {0: 2}
+    assert two == poly_from_counts({0: Fraction(2)}, "X")
+    assert poly_from_counts({(1, 2): 3, (0, 0): -1}, "X", "Y")._den == 1
+    assert poly_from_counts({0: True}, "X") == 1  # an int subclass goes the Fraction way
+    for zero in (0, Fraction(0)):
+        p = poly_from_counts({0: zero, 1: 3}, "X")
+        assert p._nums == (3 * X)._nums and p._den == 1
+        assert poly_from_counts({2: zero}, "X") == MultiPoly.zero()
+    with pytest.raises(TypeError):
+        poly_from_counts({0: 1, 1: 2.0}, "X")
+    with pytest.raises(TypeError):
+        poly_from_counts({0: 2.0, 1: 1}, "X")
 
 
 def test_poly_from_counts():

@@ -1,7 +1,8 @@
 """The benchmark's contract: every function and method the per-layer
 metrics of perfbench/tracing.py name must still exist and be wrappable, and
-every operation of both workloads at the default seed must print exactly
-the output pinned in perfbench/pinned.json.
+every operation of both workloads at the default seed, and of `corpus` at
+the held-out seed, must print exactly the output pinned in
+perfbench/pinned.json.
 
 A rename or an output drift would otherwise surface only in a benchmark
 run.  These tests only read perfbench/.
@@ -39,8 +40,10 @@ def test_tracer_installs_and_snapshots(monkeypatch):
     assert not hasattr(algebra.lagrange_interpolate, "__wrapped__")  # uninstalled
 
 
-@pytest.mark.parametrize("workload", ["series", "corpus"])
-def test_workload_outputs_match_pinned_digests(monkeypatch, capsys, workload):
+@pytest.mark.parametrize("workload,seed", [("series", "DEFAULT_SEED"), ("corpus", "DEFAULT_SEED"),
+                                           ("corpus", "HELD_OUT_SEED")],
+                         ids=["series", "corpus", "corpus-held-out"])
+def test_workload_outputs_match_pinned_digests(monkeypatch, capsys, workload, seed):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import workloads
 
@@ -48,7 +51,7 @@ def test_workload_outputs_match_pinned_digests(monkeypatch, capsys, workload):
 
     pinned = workloads.load_pinned()[workload]
     drifted = []
-    for op in workloads.build(workload, workloads.DEFAULT_SEED):
+    for op in workloads.build(workload, getattr(workloads, seed)):
         code = cli.main(list(op.argv))
         if code != 0 or workloads.digest(capsys.readouterr().out) != pinned[op.key]:
             drifted.append(op.key)

@@ -96,7 +96,14 @@ def path_text(n):
      "0c6fa63bcec816f918b16cb69d625949e2430421e822dcca6fa3e9f41a54af1b"),
     (("compute", "--tn", "30", "--invariant", "ehrhart"),
      "3e250b5d39b38251cd1b4884e8b3c62186ea0a072aebfc3cd19db7306a3d0e10"),
-], ids=["figure-json", "t6-json", "t6-text", "path30-ehrhart", "t30-ehrhart"])
+    # compute --tn 10 --format json, and compute --arbor <figure arbor> --format json: every
+    # invariant, so ehrhart's interpolation and volume's Laurent window are pinned too
+    (("compute", "--tn", "10", "--format", "json"),
+     "9234ff5dd6ac7e672361726d019e2b9bccc87453f1b5ea857f84709b5e28e2d2"),
+    (("compute", "--arbor", "{1,2}({3}({6,7},{8}),{4,5})", "--format", "json"),
+     "7049256f6419ab27d8f0d7f7e04c566e141d35d66f76f928fd07b2b481d4728f"),
+], ids=["figure-json", "t6-json", "t6-text", "path30-ehrhart", "t30-ehrhart", "t10-json",
+        "figure-all-json"])
 def test_compute_output_bytes_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
