@@ -132,7 +132,7 @@ def _value_json(value) -> dict:
 def _compute_arbor(args):
     """The arbor named by --arbor or --tn, refused above MAX_COMPUTE_SIZE before
     t_N is built."""
-    if args.arbor:
+    if args.arbor is not None:
         t = _read(parse_arbor, args.arbor)
         size = t.size
     else:
@@ -178,7 +178,7 @@ def cmd_oracle_check(args) -> int:
         raise UsageError("--per-size must be >= 1")
     if args.per_size > MAX_PER_SIZE:
         raise UsageError(f"--per-size {args.per_size} exceeds the limit {MAX_PER_SIZE}")
-    if args.arbor:
+    if args.arbor is not None:
         t = _read(parse_arbor, args.arbor)
         _read(check_point_limit, t)
         outcomes = cross_check(t)

@@ -7,9 +7,10 @@ interpolation through the multichain censuses at m = 2..n+3) the zeta
 comparison falls back to comparing Z(m, X) with the censuses at m = 2, 3, 4,
 read off two sweeps of the multichain census.
 
-The oracles hold O(n |P|) memory: the point poset and its prefix-sum
-steps, one census vector, or the Moebius sweep's |P| x (top height + 1)
-int64 matrix.  cross_check first calls check_point_limit, which raises
+The oracles hold O(n |P|) memory: the point poset (its |P| x n int64
+points and their prefix-sum steps), the census vectors (one per m, at
+most n + 2), or the M-triangle sweep's two |P| x (top height + 1) int64
+matrices.  cross_check first calls check_point_limit, which raises
 ArborError above MAX_POINTS: at once if 2^n > MAX_POINTS, as every 0/1
 vector is a point, else once the Ehrhart recursion at u = 1 counts |P|.
 """
@@ -29,8 +30,8 @@ MAX_POINTS = 2 ** 15
 # Above this poset size, skip full zeta interpolation and the Ehrhart and
 # volume checks and use spot multichain evaluations instead.  The skipped
 # checks are no longer costly: on the figure arbor (|P| = 3464) count_points
-# takes 0.01 / 0.06-0.08 / 0.26-0.38 s at u = 2 / 3 / 4 and the full zeta
-# oracle, build included, 0.010-0.016 s (best of 3 in each of three
+# takes 0.007-0.010 / 0.04-0.06 / 0.26-0.42 s at u = 2 / 3 / 4 and the full
+# zeta oracle, build included, 0.008-0.014 s (best of 3 in each of four
 # processes, shared 2-CPU VM, numpy 2.4).  The limit stays
 # until perfbench/pinned.json re-pins the figure arbor's output.
 _SPOT_LIMIT = 1500
@@ -111,7 +112,7 @@ def cross_check(t: Arbor) -> list:
             out.append(_outcome(text, f"ehrhart count u={u}",
                                 e.subs({"u": u}).constant_value(),
                                 oracle.count_points(t, u)))
-        volume = (invariants._laurent_volume(window) if low >= 0
+        volume = (invariants.laurent_volume(window) if low >= 0
                   else f"none: Laplace transform has negative Laurent degree {low}")
         out.append(_outcome(text, "volume vs ehrhart leading", volume,
                             e.coeffs_in("u").get(t.size, MultiPoly.zero()).constant_value()))

@@ -40,7 +40,7 @@ from .algebra import (
     poly_from_counts,
     series_mul,
 )
-from .arbor import Arbor, make_tn
+from .arbor import Arbor
 
 _U = MultiPoly.variable("u")
 _X = MultiPoly.variable("X")
@@ -255,13 +255,14 @@ def laplace_tn_closed(n: int) -> MultiPoly:
 def volume(t: Arbor) -> Fraction:
     """Volume of the tree polytope: the constant Laurent coefficient of the
     Laplace transform."""
-    return _laurent_volume(laplace_laurent(laplace(t), 0))
+    return laurent_volume(laplace_laurent(laplace(t), 0))
 
 
-def _laurent_volume(window: dict) -> Fraction:
-    """The volume read off a Laplace transform's Laurent window up to v^0
-    (laplace_laurent(laplace(t), 0)).  A negative Laurent degree would mean
-    the transform is not entire and is reported as a contract violation."""
+def laurent_volume(window: dict) -> Fraction:
+    """The volume read off a Laplace transform's Laurent window up to v^0,
+    laplace_laurent(laplace(t), 0): its v^0 coefficient.  volume and the
+    oracle cross checks share this one reading.  ValueError if the window
+    has a negative degree, as the transform is then not entire."""
     if min(window, default=0) < 0:
         raise ValueError("Laplace transform has negative Laurent degree")
     return window.get(0, Fraction(0))
@@ -294,10 +295,10 @@ __all__ = [
     "k_tn_closed",
     "laplace",
     "laplace_tn_closed",
+    "laurent_volume",
     "m_from_k",
     "m_triangle",
     "m_tn_closed",
-    "make_tn",
     "truncate_laplace",
     "volume",
     "zeta_poly",

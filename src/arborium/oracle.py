@@ -5,7 +5,8 @@ the defining inequalities, which both the counter and the enumerator read.
 It fixes one coordinate per step for a whole block of prefixes at once, in
 int64 numpy arrays, depth-first over blocks of at most _BLOCK rows, so the
 counter's memory is bounded by the block size, not by the number of
-points; nothing here recurses, so deep arbors need no stack.
+points; nothing here recurses, so deep arbors need no stack.  Points have
+one format: the walk's rows, one int64 array in lex order.
 
 The points of the u=1 dilate are down-closed in N^n, so the zeta transform
 of their poset is n one-axis prefix sums, and its inverse undoes them
@@ -93,17 +94,14 @@ def _prefix_blocks(t: Arbor, u: int):
         stack.append((j + 1, kids, 0))
 
 
-def enumerate_points(t: Arbor, u: int) -> list:
-    """All integer points of the u-th dilate, in lexicographic order.
+def enumerate_points(t: Arbor, u: int):
+    """All integer points of the u-th dilate: an (N, n) int64 array in lex order.
 
     ValueError if u < 0 or u * n reaches 2^62 / _BLOCK."""
     import numpy as np
 
-    points = []
-    for prefixes, caps in _prefix_blocks(t, u):
-        rows, vals = _children(prefixes, 0, caps + 1)
-        points.extend(map(tuple, np.column_stack((rows, vals)).tolist()))
-    return points
+    return np.concatenate([np.column_stack(_children(prefixes, 0, caps + 1))
+                           for prefixes, caps in _prefix_blocks(t, u)])
 
 
 def count_points(t: Arbor, u: int) -> int:
@@ -118,60 +116,58 @@ class Poset:
     with a <= b) under coordinatewise order.  Lowering a coordinate keeps
     every inequality of a dilated arbor polytope, so its points qualify.
 
-    elements are the points sorted stably by height, their coordinate sum
-    (so build_poset's are lex within a height), heights are those sums, and
-    starts[h] is the index of the first point of height h; every height up
-    to the top is present.  steps holds, for each coordinate j in turn and
-    v = 1, 2, ..., index arrays (idx, nb): idx are the points whose
-    coordinate j is v, and nb their neighbours minus e_j.  Running vec[idx] += vec[nb] over the
-    steps in order is a prefix sum along each coordinate in turn, so it
-    turns vec into vec Z, Z[a, b] = [a <= b]: vec[b] becomes the sum of vec
-    over the box [0, b], which lies in the set.  Undoing the steps in
-    reverse order gives vec Z^-1.  Memory is O(n |P|).
+    points is the (|P|, n) int64 array of the points in strictly increasing
+    lex order (a linear extension of the coordinatewise order), as
+    enumerate_points gives them; heights are the row sums, and every height
+    up to the top is present.  steps holds, for each coordinate j in turn
+    and v = 1, 2, ..., index arrays (idx, nb): idx are the points whose
+    coordinate j is v, and nb their neighbours minus e_j.  Running
+    vec[idx] += vec[nb] over the steps in order is a prefix sum along each
+    coordinate in turn, so it turns vec into vec Z, Z[a, b] = [a <= b]:
+    vec[b] becomes the sum of vec over the box [0, b], which lies in the
+    set.  Undoing the steps in reverse order gives vec Z^-1.  Memory is
+    O(n |P|).
 
-    The neighbours are found by one searchsorted over mixed-radix keys.
-    ValueError if a neighbour is missing, as the points are then not
-    down-closed, the one assumption of the prefix sums; or if the keys pass
-    int64, prod(max_j + 1) > 2^63.  An arbor's coordinates are at most its
-    size n (the root's inequality), so every arbor with n <= 15 fits.
+    A point's mixed-radix key is a numeral with the first coordinate most
+    significant, so key order is lex order, and one searchsorted over the
+    keys finds the neighbours.  ValueError if the keys are not strictly
+    increasing (rows out of lex order or repeated); if a neighbour is
+    missing, as the points are then not down-closed, the one assumption of
+    the prefix sums; or if the keys pass int64, prod(max_j + 1) > 2^63.  An
+    arbor's coordinates are at most its size n (the root's inequality), so
+    every arbor with n <= 15 fits.
     """
 
-    __slots__ = ("elements", "heights", "starts", "steps", "size")
+    __slots__ = ("points", "heights", "steps", "size")
 
     def __init__(self, points):
         import numpy as np
 
-        arr = np.array(points, dtype=np.int64)
-        order = np.argsort(arr.sum(axis=1), kind="stable")
-        arr = arr[order]
-        self.elements = [points[i] for i in order.tolist()]
-        self.size = len(self.elements)
-        heights = arr.sum(axis=1)
-        self.heights = heights.tolist()
-        self.starts = np.searchsorted(heights, np.arange(heights[-1] + 1))
+        self.points = arr = np.asarray(points, dtype=np.int64)
+        self.size = len(arr)
+        self.heights = arr.sum(axis=1)
         radix = (arr.max(axis=0) + 1).tolist()
         if prod(radix) > 2 ** 63:
             raise ValueError(f"mixed-radix keys over the box {radix} pass 2^63 - 1")
         strides = np.array([prod(radix[j + 1:]) for j in range(len(radix))], dtype=np.int64)
         keys = arr @ strides
-        sorter = np.argsort(keys)
-        ranked = keys[sorter]
+        if (keys[1:] <= keys[:-1]).any():
+            raise ValueError("the points are not in strictly increasing lex order")
         # the nonzero entries (point, j) of arr, grouped by j, then by x_j
         pts, axes = np.nonzero(arr)
         group = axes * (int(arr.max()) + 1) + arr[pts, axes]
         by_group = np.argsort(group, kind="stable")
         pts, axes, group = pts[by_group], axes[by_group], group[by_group]
         below = keys[pts] - strides[axes]
-        at = np.searchsorted(ranked, below)
-        if (ranked[at] != below).any():
+        nb = np.searchsorted(keys, below)
+        if (keys[nb] != below).any():
             raise ValueError("the points are not down-closed")
-        nb = sorter[at]
         bounds = [0, *(np.flatnonzero(np.diff(group)) + 1).tolist(), len(group)]
         self.steps = [(pts[a:b], nb[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def build_poset(t: Arbor) -> Poset:
-    """The point poset of the u=1 dilate, in height order (see Poset)."""
+    """The point poset of the u=1 dilate, in lex order (see Poset)."""
     return Poset(enumerate_points(t, 1))
 
 
@@ -182,22 +178,24 @@ def multichain_weight_counts(P: Poset, top: int) -> dict:
 
     Returns {m: {height h: number of multichains e_1 <= ... <= e_{m-1} whose
     top element has height h}}: the all-ones vector after m-2 zeta sweeps of
-    Poset, summed over each height.  A count of census m is at most
-    |P|^(m-1), and a partial sum of a sweep at most the count it ends in, so
-    the vector is int64 while |P|^(top-1) < 2^63, and Python ints otherwise.
+    Poset, summed over each height by one reduction over all m.  A count of
+    census m is at most |P|^(m-1), a partial sum of a sweep at most the
+    count it ends in, and a sum by height at most the census total, also
+    |P|^(m-1); so the vectors are int64 while |P|^(top-1) < 2^63, and
+    Python ints otherwise.
     """
     import numpy as np
 
     if top < 2:
         raise ValueError("multichains need m >= 2")
-    vec = np.ones(P.size, dtype=np.int64 if P.size ** (top - 1) < 2 ** 63 else object)
-    census = {}
-    for m in range(2, top + 1):
-        if m > 2:
-            for idx, nb in P.steps:
-                vec[idx] += vec[nb]
-        census[m] = dict(enumerate(np.add.reduceat(vec, P.starts).tolist()))
-    return census
+    vecs = np.ones((top - 1, P.size), dtype=np.int64 if P.size ** (top - 1) < 2 ** 63 else object)
+    for vec, last in zip(vecs[1:], vecs):
+        vec[:] = last
+        for idx, nb in P.steps:
+            vec[idx] += vec[nb]
+    sums = np.zeros((int(P.heights.max()) + 1, top - 1), dtype=vecs.dtype)
+    np.add.at(sums, P.heights, vecs.T)
+    return {m: dict(enumerate(row)) for m, row in enumerate(sums.T.tolist(), start=2)}
 
 
 def zeta_oracle(P: Poset) -> MultiPoly:
@@ -208,7 +206,7 @@ def zeta_oracle(P: Poset) -> MultiPoly:
     in X, and one interpolation through them gives a polynomial of degree
     <= n in u; the spare sample is an interpolation consistency check.
     """
-    n = max(P.heights)
+    n = int(P.heights.max())
     samples = [(m, poly_from_counts(counts, "X"))
                for m, counts in multichain_weight_counts(P, n + 3).items()]
     return lagrange_interpolate(samples, degree=n, var="u")
@@ -221,7 +219,7 @@ def mobius_oracle(P: Poset) -> dict:
 
     For each bottom element a, the defining recursion
     mu(a, b) = -sum_{a <= e < b} mu(a, e) is replayed over the up-set of a
-    in height order.  Comparability is read off the coordinates (a <= b iff
+    in index order.  Comparability is read off the coordinates (a <= b iff
     every coordinate of a is at most b's), not off the prefix-sum steps.
     Zeros are never stored, which keeps the inner sums proportional to the
     nonzero support of each row.  m_triangle_oracle does not use it; it is
@@ -229,12 +227,11 @@ def mobius_oracle(P: Poset) -> dict:
     """
     import numpy as np
 
-    arr = np.array(P.elements, dtype=np.int64)
-    above = [set(np.nonzero((arr >= arr[a]).all(axis=1))[0].tolist()) for a in range(P.size)]
+    above = [set(np.nonzero((P.points >= p).all(axis=1))[0].tolist()) for p in P.points]
     mu: dict = {}
     for a in range(P.size):
         row = {a: 1}
-        for b in sorted(above[a])[1:]:  # index order is height order
+        for b in sorted(above[a])[1:]:  # index order is a linear extension
             s = sum(val for e, val in row.items() if b in above[e])
             if s:
                 row[b] = -s
@@ -256,10 +253,11 @@ def m_triangle_oracle(P: Poset) -> MultiPoly:
     """
     import numpy as np
 
-    W = np.eye(len(P.starts), dtype=np.int64)[P.heights]
+    H = np.eye(int(P.heights.max()) + 1, dtype=np.int64)[P.heights]
+    W = H.copy()
     for idx, nb in reversed(P.steps):
         W[idx] -= W[nb]
-    table = np.add.reduceat(W, P.starts).T.tolist()
+    table = (W.T @ H).tolist()
     return poly_from_counts({(ha, hb): val for ha, row in enumerate(table)
                              for hb, val in enumerate(row)}, "X", "Y")
 
@@ -268,11 +266,12 @@ def m_triangle_oracle(P: Poset) -> MultiPoly:
 
 def k_oracle(P: Poset) -> MultiPoly:
     """Sum of X^(nonzero coordinates) * Y^(coordinate sum) over the point poset."""
-    counts = Counter((len(point) - point.count(0), height)
-                     for point, height in zip(P.elements, P.heights))
+    import numpy as np
+
+    counts = Counter(zip(np.count_nonzero(P.points, axis=1).tolist(), P.heights.tolist()))
     return poly_from_counts(counts, "X", "Y")
 
 
 def height_distribution_oracle(t: Arbor, m: int) -> MultiPoly:
     """Points of the m-th dilate weighted by X^height; ValueError if m < 0."""
-    return poly_from_counts(Counter(map(sum, enumerate_points(t, m))), "X")
+    return poly_from_counts(Counter(enumerate_points(t, m).sum(axis=1).tolist()), "X")

@@ -119,6 +119,13 @@ def test_compute_parse_error_exit_code(capsys):
             2, "", "error: expected '{' (at position 4)\n")
 
 
+@pytest.mark.parametrize("command", ["compute", "oracle-check"])
+def test_empty_arbor_text_is_a_parse_error(capsys, command):
+    # an empty --arbor is input to parse, not an absent option: compute must
+    # not fall through to --tn, nor oracle-check to the default corpus
+    assert run(capsys, command, "--arbor", "") == (2, "", "error: expected '{' (at position 0)\n")
+
+
 def test_compute_unknown_invariant(capsys):
     code, _, err = run(capsys, "compute", "--tn", "2", "--invariant", "banana")
     assert code == 2

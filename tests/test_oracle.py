@@ -32,14 +32,14 @@ FIGURE = "{1,2}({3}({6,7},{8}),{4,5})"
 
 
 def test_enumerate_unit_segment():
-    assert enumerate_points(make_tn(1), 1) == [(0,), (1,)]
-    assert enumerate_points(make_tn(1), 0) == [(0,)]
+    assert enumerate_points(make_tn(1), 1).tolist() == [[0], [1]]
+    assert enumerate_points(make_tn(1), 0).tolist() == [[0]]
 
 
 def test_enumerate_fan_two():
     pts = enumerate_points(make_tn(2), 1)
-    assert pts == sorted(pts)  # lexicographic
-    assert set(pts) == {(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)}
+    assert pts.dtype == np.int64 and pts.shape == (5, 2)
+    assert pts.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1], [2, 0]]  # lexicographic
     assert len(enumerate_points(make_tn(2), 2)) == 12
 
 
@@ -59,10 +59,10 @@ def test_count_and_enumerate_match_a_filtered_box():
             cons = constraints(t)
             for dil in range(3):
                 box = itertools.product(range(dil * n + 1), repeat=n)
-                expected = [p for p in box
+                expected = [list(p) for p in box
                             if all(sum(p[lab - 1] for lab in c.support) <= dil * c.bound
                                    for c in cons)]
-                assert enumerate_points(t, dil) == expected, (t, dil)
+                assert enumerate_points(t, dil).tolist() == expected, (t, dil)
                 assert count_points(t, dil) == len(expected), (t, dil)
 
 
@@ -70,7 +70,7 @@ def test_count_and_enumerate_have_no_depth_limit():
     n = 1500
     path = Arbor(0, {i: {i + 1} for i in range(n)}, {i: [i + 1] for i in range(n - 1)})
     assert count_points(path, 0) == 1
-    assert enumerate_points(path, 0) == [(0,) * n]
+    assert enumerate_points(path, 0).tolist() == [[0] * n]
 
 
 def _filtered_box(t, dil):
@@ -84,7 +84,7 @@ def _filtered_box(t, dil):
     keep = np.ones(len(box), dtype=bool)
     for c in cons:
         keep &= box[:, [lab - 1 for lab in c.support]].sum(axis=1) <= dil * c.bound
-    return list(map(tuple, box[keep].tolist()))
+    return box[keep].tolist()
 
 
 @settings(max_examples=60, deadline=None)
@@ -93,7 +93,7 @@ def _filtered_box(t, dil):
 def test_walk_matches_the_filtered_box(size, seed, dil):
     t = random_arbor(size, random.Random(seed))
     expected = _filtered_box(t, dil)
-    assert enumerate_points(t, dil) == expected
+    assert enumerate_points(t, dil).tolist() == expected
     count = count_points(t, dil)
     assert type(count) is int and count == len(expected)
 
@@ -105,11 +105,11 @@ def test_walk_blocks_keep_the_points_and_their_order(monkeypatch, block):
     cases = [(t, dil) for t in random_corpus(20260809, sizes=range(1, 6), per_size=2)
              for dil in range(3)]
     cases += [(make_tn(2), 7), (parse_arbor(FIGURE), 1)]
-    expected = [(enumerate_points(t, dil), count_points(t, dil)) for t, dil in cases]
+    expected = [(enumerate_points(t, dil).tolist(), count_points(t, dil)) for t, dil in cases]
     monkeypatch.setattr(oracle, "_BLOCK", block)
     for (t, dil), (points, count) in zip(cases, expected):
-        got = enumerate_points(t, dil)
-        assert got == points and got == sorted(set(got)), (t, dil)
+        got = list(map(tuple, enumerate_points(t, dil).tolist()))
+        assert got == list(map(tuple, points)) and got == sorted(set(got)), (t, dil)
         assert count_points(t, dil) == count == len(points), (t, dil)
 
 
@@ -139,7 +139,7 @@ def test_count_points_refuses_an_int64_overflow():
 
 def _leq(P):
     # the order relation, pairwise from the coordinates: leq[a, b] iff a <= b
-    arr = np.array(P.elements, dtype=np.int64)
+    arr = P.points
     return np.vstack([(arr[lo:lo + 256, None, :] <= arr[None, :, :]).all(axis=2)
                       for lo in range(0, P.size, 256)])
 
@@ -148,10 +148,13 @@ def _level_solve(P, leq):
     # the dense M-triangle reference: Z V = H solved in int64 one height level
     # at a time, from the top down, V[lo:hi] = H[lo:hi] - Z[lo:hi, hi:] V[hi:];
     # in height order Z is upper triangular with an identity block on the
-    # diagonal at each level, so no level needs a solve inside itself
-    H = np.eye(max(P.heights) + 1, dtype=np.int64)[P.heights]
+    # diagonal at each level, so no level needs a solve inside itself.  The
+    # points are sorted by height here; the sums of H^T V do not see the order.
+    order = np.argsort(P.heights, kind="stable")
+    heights, leq = P.heights[order], leq[np.ix_(order, order)]
+    H = np.eye(heights.max() + 1, dtype=np.int64)[heights]
     V = H.copy()
-    ends = np.cumsum(np.bincount(P.heights)).tolist()
+    ends = np.cumsum(np.bincount(heights)).tolist()
     for lo, hi in reversed(list(zip([0] + ends, ends))):
         V[lo:hi] -= leq[lo:hi, hi:].astype(np.int64) @ V[hi:]
     table = (H.T @ V).tolist()
@@ -168,25 +171,32 @@ def _plain_census(P, top, leq):
         if m > 2:
             totals = [sum(totals[a] for a in below[b]) for b in range(P.size)]
         counts: dict = {}
-        for h, c in zip(P.heights, totals):
+        for h, c in zip(P.heights.tolist(), totals):
             counts[h] = counts.get(h, 0) + c
         census[m] = counts
     return census
 
 
-def test_poset_is_height_ordered():
+def test_poset_rows_are_the_walks_points_in_lex_order():
     arbors = random_corpus(20260809, sizes=range(1, 6), per_size=4)
     arbors.append(parse_arbor(FIGURE))
     for t in arbors:
         P = build_poset(t)
-        assert P.heights == [sum(p) for p in P.elements], t
-        assert P.heights == sorted(P.heights), t
-        assert sorted(P.elements) == enumerate_points(t, 1), t
-        assert P.starts.tolist() == [P.heights.index(h) for h in range(P.heights[-1] + 1)], t
-        ends = np.cumsum(np.bincount(P.heights)).tolist()
-        for lo, hi in zip([0] + ends, ends):
-            level = P.elements[lo:hi]
-            assert level == sorted(level), (t, lo)
+        assert P.points.dtype == np.int64 and P.heights.dtype == np.int64, t
+        assert P.points.tolist() == enumerate_points(t, 1).tolist(), t
+        assert P.heights.tolist() == [sum(p) for p in P.points.tolist()], t
+        assert P.size == len(P.points), t
+
+
+@pytest.mark.parametrize("points", [
+    [(0, 0), (1, 0), (0, 1), (1, 1)],  # out of lex order
+    [(0, 0), (0, 1), (0, 1), (1, 0)],  # a repeated row
+    [(0,), (1,), (0,)],
+    [(1, 0), (0, 0)],
+])
+def test_poset_refuses_rows_out_of_strict_lex_order(points):
+    with pytest.raises(ValueError, match="strictly increasing lex order"):
+        Poset(points)
 
 
 def test_poset_refuses_points_that_are_not_down_closed(monkeypatch):
@@ -203,10 +213,10 @@ def test_poset_refuses_points_that_are_not_down_closed(monkeypatch):
 
 
 def test_poset_refuses_keys_past_int64():
-    # the origin and the d unit vectors are down-closed, and their
-    # mixed-radix keys run up to 2^d - 1
+    # the origin and the d unit vectors, in lex order (e_d first), are
+    # down-closed, and their mixed-radix box {0, 1}^d holds 2^d keys
     def cross(d):
-        return [tuple(int(i == j) for i in range(d)) for j in range(-1, d)]
+        return [tuple(int(i == j) for i in range(d)) for j in (-1, *range(d - 1, -1, -1))]
 
     assert Poset(cross(63)).size == 64
     with pytest.raises(ValueError, match="2\\^63"):
@@ -221,12 +231,13 @@ def test_poset_edge_cases_match_the_references():
     for t in cases:
         P = build_poset(t)
         leq = _leq(P)
-        assert leq.tolist() == [[all(x <= y for x, y in zip(a, b)) for b in P.elements]
-                                for a in P.elements], t
+        rows = P.points.tolist()
+        assert leq.tolist() == [[all(x <= y for x, y in zip(a, b)) for b in rows]
+                                for a in rows], t
         assert multichain_weight_counts(P, 8) == _plain_census(P, 8, leq), t
         assert m_triangle_oracle(P) == _level_solve(P, leq), t
     assert [build_poset(t).size for t in cases[:2]] == [2, 5]
-    assert max(map(max, build_poset(cases[2]).elements)) == 5
+    assert build_poset(cases[2]).points.max() == 5
 
 
 def test_poset_structure_fan_two():
@@ -234,10 +245,10 @@ def test_poset_structure_fan_two():
     assert P.size == 5
     leq = _leq(P)
     mins = [i for i in range(P.size) if leq[:, i].sum() == 1]
-    assert [P.elements[i] for i in mins] == [(0, 0)]
+    assert P.points[mins].tolist() == [[0, 0]]
     maxs = [i for i in range(P.size) if leq[i, :].sum() == 1]
-    assert {P.elements[i] for i in maxs} == {(2, 0), (1, 1)}
-    assert P.heights == [sum(p) for p in P.elements]
+    assert sorted(P.points[maxs].tolist()) == [[1, 1], [2, 0]]
+    assert P.heights.tolist() == [0, 1, 1, 2, 2]
 
 
 def test_poset_size_fan_family():
@@ -266,8 +277,8 @@ def test_figure_oracles_memory_is_linear_in_the_points():
 def test_mobius_two_chain():
     P = build_poset(make_tn(1))
     mu = mobius_oracle(P)
-    i0 = P.elements.index((0,))
-    i1 = P.elements.index((1,))
+    i0 = P.points.tolist().index([0])
+    i1 = P.points.tolist().index([1])
     assert mu[(i0, i0)] == 1 and mu[(i1, i1)] == 1
     assert mu[(i0, i1)] == -1
     assert (i1, i0) not in mu
@@ -297,7 +308,7 @@ def _binned_mobius_sum(P):
     # sum of mu(a, b) X^ht(a) Y^ht(b), straight from the sparse Moebius table
     total = MultiPoly.zero()
     for (a, b), val in mobius_oracle(P).items():
-        total = total + val * X ** P.heights[a] * Y ** P.heights[b]
+        total = total + val * X ** int(P.heights[a]) * Y ** int(P.heights[b])
     return total
 
 
@@ -356,7 +367,8 @@ def test_multichain_counts_match_the_plain_loop(size, seed, top):
     P = build_poset(random_arbor(size, random.Random(seed)))
     census = multichain_weight_counts(P, top)
     assert census == _plain_census(P, top, _leq(P))
-    assert all(list(got) == list(dict.fromkeys(P.heights)) for got in census.values())
+    highest = int(P.heights.max())
+    assert all(list(got) == list(range(highest + 1)) for got in census.values())
     assert all(type(c) is int for got in census.values() for c in got.values())
 
 
