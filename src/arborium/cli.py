@@ -163,8 +163,8 @@ def cmd_verify(args) -> int:
         raise UsageError("--order must be >= 1")
     if order > MAX_ORDER:
         raise UsageError(f"series order {order} exceeds the limit {MAX_ORDER}")
-    theorems = args.theorem or list(THEOREMS)
-    reports = [VERIFIERS[name](order) for name in theorems]
+    # a repeated theorem runs once, at its first place
+    reports = [VERIFIERS[name](order) for name in dict.fromkeys(args.theorem or THEOREMS)]
     if args.format == "json":
         print(json.dumps([r.to_dict() for r in reports], indent=2))
     else:

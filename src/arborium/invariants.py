@@ -126,7 +126,8 @@ def m_triangle(t: Arbor) -> MultiPoly:
 
     Contract: every term X^j Y^h of K has h >= j (a point's height is at
     least its number of nonzero coordinates), so no negative power of X is
-    left; a term that breaks it raises ExactDivisionError.
+    left; a term that breaks it raises ExactDivisionError.  It stays apart
+    from m_from_k because perfbench/tracing.py times and counts it by name.
     """
     return m_from_k(k_poly(t))
 
@@ -254,7 +255,7 @@ def laplace_tn_closed(n: int) -> MultiPoly:
 
 def volume(t: Arbor) -> Fraction:
     """Volume of the tree polytope: the constant Laurent coefficient of the
-    Laplace transform."""
+    Laplace transform.  perfbench/tracing.py times and counts it by name."""
     return laurent_volume(laplace_laurent(laplace(t), 0))
 
 
@@ -285,22 +286,3 @@ def compute_invariants(t: Arbor, names=INVARIANT_NAMES) -> dict:
         values[name] = _INVARIANTS[name](t)
     return values
 
-
-__all__ = [
-    "compute_invariants",
-    "ehrhart",
-    "ehrhart_heights",
-    "ehrhart_tn_closed",
-    "k_poly",
-    "k_tn_closed",
-    "laplace",
-    "laplace_tn_closed",
-    "laurent_volume",
-    "m_from_k",
-    "m_triangle",
-    "m_tn_closed",
-    "truncate_laplace",
-    "volume",
-    "zeta_poly",
-    "zeta_tn_closed",
-]

@@ -223,7 +223,9 @@ def mobius_oracle(P: Poset) -> dict:
     every coordinate of a is at most b's), not off the prefix-sum steps.
     Zeros are never stored, which keeps the inner sums proportional to the
     nonzero support of each row.  m_triangle_oracle does not use it; it is
-    a reference that the tests compare the prefix-sum inversion with.
+    a reference that the tests compare the prefix-sum inversion with, and
+    perfbench/tracing.py times it and counts its entries by name, so it
+    stays in the package until the tracer no longer names it.
     """
     import numpy as np
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from arborium import invariants, oracle, verify
-from arborium.algebra import gens, poly_from_terms
+from arborium.algebra import gens, poly_to_terms
 from arborium.arbor import ArborError, make_tn, parse_arbor
 from arborium.cli import MAX_COMPUTE_SIZE, MAX_ORDER, MAX_PER_SIZE, MAX_TN, build_parser, main
 from arborium.crosscheck import cross_check
@@ -74,9 +74,9 @@ def test_compute_json_roundtrip(capsys):
     assert payload["size"] == 3
     inv = payload["invariants"]
     t3 = make_tn(3)
-    assert poly_from_terms(inv["ehrhart"]["terms"]) == ehrhart(t3)
-    assert poly_from_terms(inv["laplace"]["terms"]) == laplace(t3)
-    assert poly_from_terms(inv["m"]["terms"]) == m_triangle(t3)
+    assert inv["ehrhart"]["terms"] == poly_to_terms(ehrhart(t3))
+    assert inv["laplace"]["terms"] == poly_to_terms(laplace(t3))
+    assert inv["m"]["terms"] == poly_to_terms(m_triangle(t3))
     assert Fraction(inv["volume"]["value"]) == Fraction(2)
 
 
@@ -148,6 +148,16 @@ def test_verify_single_theorem(capsys):
     code, out, _ = run(capsys, "verify", "--theorem", "laplace", "--order", "1")
     assert code == 0
     assert "theorem laplace: order 1: PASS" in out
+
+
+def test_verify_repeated_theorem_runs_once(capsys):
+    _, single, _ = run(capsys, "verify", "--theorem", "zeta", "--order", "1")
+    code, out, _ = run(capsys, "verify", "--theorem", "zeta", "--theorem", "zeta", "--order", "1")
+    assert (code, out) == (0, single)
+    code, out, _ = run(capsys, "verify", "--theorem", "laplace", "--theorem", "zeta",
+                       "--theorem", "laplace", "--order", "1", "--format", "json")
+    assert code == 0
+    assert [r["theorem"] for r in json.loads(out)] == ["laplace", "zeta"]
 
 
 def test_verify_order_zero_usage_error(capsys):

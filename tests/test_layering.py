@@ -1,4 +1,4 @@
-"""Import layering of src/arborium, read off the source with ast.
+"""Import layering and namespaces of src/arborium, read off the source with ast.
 
 Two rules keep the oracles independent of what they check and keep each
 module's private helpers private:
@@ -8,6 +8,11 @@ module's private helpers private:
   silently become its own oracle, nor an oracle its recursion;
 * no module reads another package module's _private name, by
   ``from .m import _name`` or by ``m._name`` on an imported module ``m``.
+
+Two more keep one binding per public name, in its defining module:
+
+* __init__.py imports nothing and binds only dunder names;
+* no module defines __all__.
 """
 
 import ast
@@ -21,8 +26,12 @@ FORBIDDEN = {
 }
 
 
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _private(name):
-    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+    return name.startswith("_") and not _dunder(name)
 
 
 def _package_module(node):
@@ -86,6 +95,28 @@ def layering_faults(name, source):
     return faults
 
 
+def namespace_faults(name, source):
+    """Every breach of the two namespace rules in the source of package
+    module name ("__init__" for the package itself)."""
+    faults = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if name == "__init__":
+                faults.append(f"{name}:{node.lineno} imports")
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound = node.id
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound = node.name
+        else:
+            continue
+        if bound == "__all__":
+            faults.append(f"{name}:{node.lineno} defines __all__")
+        elif name == "__init__" and not _dunder(bound):
+            faults.append(f"{name}:{node.lineno} binds {bound}")
+    return faults
+
+
 def test_the_package_keeps_its_layering():
     faults = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -121,3 +152,31 @@ def check(window, P):
         "crosscheck:7 reads invariants._laurent_volume", "crosscheck:7 reads oracle._BLOCK"]
     assert layering_faults("invariants", "from .oracle import k_oracle\n") == [
         "invariants:1 imports from oracle"]
+
+
+def test_each_public_name_has_one_binding():
+    faults = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        faults += namespace_faults(path.stem, path.read_text())
+    assert faults == []
+
+
+def test_the_check_sees_namespace_faults():
+    init_source = """
+\"\"\"Docstring.\"\"\"
+from .algebra import MultiPoly
+import arborium.oracle
+__version__ = "0.1.0"
+VERSION = __version__
+def main():
+    return 0
+__all__ = ["main"]
+"""
+    assert sorted(namespace_faults("__init__", init_source)) == [
+        "__init__:3 imports", "__init__:4 imports", "__init__:6 binds VERSION",
+        "__init__:7 binds main", "__init__:9 defines __all__"]
+    assert sorted(namespace_faults("invariants", "from .algebra import MultiPoly\n"
+                                   "__all__ = []\n__all__ += ['k_poly']\n")) == [
+        "invariants:2 defines __all__", "invariants:3 defines __all__"]
+    assert namespace_faults("algebra", "def f():\n    __all__ = 1\n    return __all__\n") == [
+        "algebra:2 defines __all__"]
