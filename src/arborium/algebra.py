@@ -1,12 +1,12 @@
 """Exact arithmetic kernel.
 
 Sparse multivariate polynomials over the rationals in the fixed variable
-set (u, X, Y, E, V, s, v), truncated power series in s as plain
-coefficient lists with one truncated product (series_mul), Laurent
-expansions in v as {degree: coefficient} dicts, symbolic-exponent
-binomials and the power ((1 + alpha*s)/(1 - beta*s))^u given by alpha and
-beta, and exact interpolation at consecutive integers.  No floating point
-anywhere; equality is literal.
+set (u, X, Y, E, V, s), truncated power series in s as plain coefficient
+lists with one truncated product (series_mul), Laurent expansions in v as
+{degree: coefficient} dicts (v is only a key there, not a variable),
+symbolic-exponent binomials and the power ((1 + alpha*s)/(1 - beta*s))^u
+given by alpha and beta, and exact interpolation at consecutive integers.
+No floating point anywhere; equality is literal.
 
 A MultiPoly packs each monomial into one int key: the total degree in the
 top field, then one _FIELD_BITS-wide field per variable in VARIABLES
@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import index
 
-VARIABLES = ("u", "X", "Y", "E", "V", "s", "v")
+VARIABLES = ("u", "X", "Y", "E", "V", "s")
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 _NVARS = len(VARIABLES)
 
@@ -130,7 +130,7 @@ class _Terms(Mapping):
 
 
 class MultiPoly:
-    """Sparse polynomial in u, X, Y, E, V, s, v with rational coefficients.
+    """Sparse polynomial in u, X, Y, E, V, s with rational coefficients.
 
     Stored as {packed monomial key: integer numerator} over one common
     denominator (see the module docstring).  Instances are immutable;
@@ -440,7 +440,7 @@ def _monomial_text(key: int) -> str:
 
 
 def gens() -> tuple:
-    """The seven generators (u, X, Y, E, V, s, v), in canonical order."""
+    """The six generators (u, X, Y, E, V, s), in canonical order."""
     return tuple(MultiPoly.variable(name) for name in VARIABLES)
 
 

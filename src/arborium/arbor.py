@@ -44,7 +44,7 @@ class Arbor:
     equality and hashing go through the canonical serialization.
     Construction validates the tree in one walk from the root, which visits
     children by smallest own label; the walk's pre-order, as (vertex id,
-    depth) pairs, is stored, and fold, canonical and constraints read it
+    depth) pairs, is stored, and fold, serialize_arbor and constraints read it
     instead of walking the tree again.  Instances are immutable.
     """
 
@@ -81,33 +81,16 @@ class Arbor:
             values[vid] = step(self.vertices[vid], sizes[vid], [values.pop(c) for c in kids])
         return values[self.root]
 
-    def canonical(self) -> str:
-        """Labels ascending, children by smallest own label: one pass over the
-        pre-order, where a step down opens '(', a step up closes ')' and a
-        sibling follows ','."""
-        if self._canonical is None:
-            pieces, last = [], 0
-            for vid, depth in self._preorder:
-                if depth > last:
-                    pieces.append("(")
-                elif pieces:
-                    pieces.append(")" * (last - depth) + ",")
-                pieces.append("{%s}" % ",".join(map(str, sorted(self.vertices[vid]))))
-                last = depth
-            pieces.append(")" * last)
-            self._canonical = "".join(pieces)
-        return self._canonical
-
     def __eq__(self, other):
         if not isinstance(other, Arbor):
             return NotImplemented
-        return self.canonical() == other.canonical()
+        return serialize_arbor(self) == serialize_arbor(other)
 
     def __hash__(self):
-        return hash(self.canonical())
+        return hash(serialize_arbor(self))
 
     def __repr__(self):
-        return f"Arbor({self.canonical()!r})"
+        return f"Arbor({serialize_arbor(self)!r})"
 
 
 def _validate(root, vertices, children) -> list:
@@ -120,7 +103,7 @@ def _validate(root, vertices, children) -> list:
         if not labels:
             raise ArborError("empty label set")
         for lab in labels:
-            if not isinstance(lab, int) or lab < 1:
+            if not isinstance(lab, int) or isinstance(lab, bool) or lab < 1:
                 raise ArborError(f"labels must be positive integers, got {lab!r}")
             if lab in seen_labels:
                 raise ArborError(f"duplicate label {lab}")
@@ -232,8 +215,22 @@ def parse_arbor(text: str) -> Arbor:
 # -- serialization -----------------------------------------------------------
 
 def serialize_arbor(t: Arbor) -> str:
-    """Canonical text: labels ascending, children ordered by smallest own label."""
-    return t.canonical()
+    """Canonical text: labels ascending, children by smallest own label.
+
+    One pass over the stored pre-order, where a step down opens '(', a step
+    up closes ')' and a sibling follows ','; the text is cached on t."""
+    if t._canonical is None:
+        pieces, last = [], 0
+        for vid, depth in t._preorder:
+            if depth > last:
+                pieces.append("(")
+            elif pieces:
+                pieces.append(")" * (last - depth) + ",")
+            pieces.append("{%s}" % ",".join(map(str, sorted(t.vertices[vid]))))
+            last = depth
+        pieces.append(")" * last)
+        t._canonical = "".join(pieces)
+    return t._canonical
 
 
 # -- builders ------------------------------------------------------------------

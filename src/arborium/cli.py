@@ -25,7 +25,6 @@ import sys
 
 from .algebra import MultiPoly, poly_to_terms
 from .arbor import ArborError, make_tn, parse_arbor, serialize_arbor
-from .crosscheck import check_point_limit, corpus_check, cross_check
 from .invariants import INVARIANT_NAMES, compute_invariants
 from .verify import DEFAULT_ORDER, THEOREMS, VERIFIERS
 
@@ -174,6 +173,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    # crosscheck loads numpy through oracle; verify and compute never need it
+    from .crosscheck import check_point_limit, corpus_check, cross_check
+
     if args.per_size < 1:
         raise UsageError("--per-size must be >= 1")
     if args.per_size > MAX_PER_SIZE:

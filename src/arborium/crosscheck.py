@@ -5,7 +5,8 @@ brute-force counterpart, together with the linking identities between
 invariants.  For posets too large for the full zeta oracle (one
 interpolation through the multichain censuses at m = 2..n+3) the zeta
 comparison falls back to comparing Z(m, X) with the censuses at m = 2, 3, 4,
-read off two sweeps of the multichain census.
+read off two sweeps of the multichain census.  The volume check reads
+invariants.volume, the same function that compute prints.
 
 The oracles hold O(n |P|) memory: the point poset (its |P| x n int64
 points and their prefix-sum steps), the census vectors (one per m, at
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import InterpolationError, MultiPoly, laplace_laurent, poly_from_counts
+from .algebra import InterpolationError, MultiPoly, poly_from_counts
 from .arbor import Arbor, ArborError, random_corpus, serialize_arbor
 from . import invariants, oracle
 
@@ -93,10 +94,12 @@ def cross_check(t: Arbor) -> list:
     out.append(_outcome(text, "m vs moebius oracle", m_tri, oracle.m_triangle_oracle(P)))
     out.append(_outcome(text, "m at X=1", m_tri.subs({"X": 1}), MultiPoly.const(1)))
 
-    window = laplace_laurent(invariants.laplace(t), 0)
-    low = min(window, default=0)
-    out.append(CheckOutcome(text, "laplace entire", low >= 0,
-                            "" if low >= 0 else f"min degree {low}"))
+    try:
+        volume = invariants.volume(t)
+        out.append(CheckOutcome(text, "laplace entire", True))
+    except invariants.LaurentDegreeError as exc:
+        volume = f"none: {exc}"
+        out.append(CheckOutcome(text, "laplace entire", False, f"min degree {exc.degree}"))
 
     size_identities = [
         ("zeta at u=2, X=1", z.subs({"u": 2, "X": 1}).constant_value()),
@@ -112,8 +115,6 @@ def cross_check(t: Arbor) -> list:
             out.append(_outcome(text, f"ehrhart count u={u}",
                                 e.subs({"u": u}).constant_value(),
                                 oracle.count_points(t, u)))
-        volume = (invariants.laurent_volume(window) if low >= 0
-                  else f"none: Laplace transform has negative Laurent degree {low}")
         out.append(_outcome(text, "volume vs ehrhart leading", volume,
                             e.coefficient("u", t.size).constant_value()))
         size_identities.append(("ehrhart at u=1", e.subs({"u": 1}).constant_value()))

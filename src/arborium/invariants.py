@@ -16,7 +16,8 @@ and volume are read off k_poly, ehrhart_heights and laplace:
 * ehrhart_heights lattice points of the u-th dilate, counted by height
 * ehrhart         lattice-point counting polynomial, Newton-interpolated in u
 * laplace         Laplace transform of the volume function, as a polynomial in E, V
-* volume          constant Laurent coefficient of the Laplace transform
+* volume          v^0 Laurent coefficient of the Laplace transform; raises
+                  LaurentDegreeError if the transform is not entire
 
 plus the closed forms for the fan family t_n.
 """
@@ -253,19 +254,23 @@ def laplace_tn_closed(n: int) -> MultiPoly:
     return _V ** n * (1 - _E) ** (n - 1) - _V * _E ** n
 
 
+class LaurentDegreeError(ValueError):
+    """The Laplace transform has a negative Laurent degree, so it is not
+    entire and has no volume to read; degree is that Laurent degree."""
+
+    def __init__(self, degree: int):
+        super().__init__(f"Laplace transform has negative Laurent degree {degree}")
+        self.degree = degree
+
+
 def volume(t: Arbor) -> Fraction:
-    """Volume of the tree polytope: the constant Laurent coefficient of the
-    Laplace transform.  perfbench/tracing.py times and counts it by name."""
-    return laurent_volume(laplace_laurent(laplace(t), 0))
-
-
-def laurent_volume(window: dict) -> Fraction:
-    """The volume read off a Laplace transform's Laurent window up to v^0,
-    laplace_laurent(laplace(t), 0): its v^0 coefficient.  volume and the
-    oracle cross checks share this one reading.  ValueError if the window
-    has a negative degree, as the transform is then not entire."""
-    if min(window, default=0) < 0:
-        raise ValueError("Laplace transform has negative Laurent degree")
+    """Volume of the tree polytope: the v^0 coefficient of the Laplace
+    transform's Laurent window up to v^0; LaurentDegreeError if the window
+    has a negative degree."""
+    window = laplace_laurent(laplace(t), 0)
+    low = min(window, default=0)
+    if low < 0:
+        raise LaurentDegreeError(low)
     return window.get(0, Fraction(0))
 
 

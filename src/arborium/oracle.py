@@ -13,15 +13,15 @@ of their poset is n one-axis prefix sums, and its inverse undoes them
 (Stanley, EC1 3.8); see Poset.  The multichain censuses and the M-triangle
 are read off these sweeps; the sparse Moebius table is computed from first
 principles.  Everything is exact: Python ints, and int64 arrays under
-stated bounds.  numpy is imported by the functions that use it, so
-importing the package (and the CLI's verify and compute paths) does not
-load it.
+stated bounds.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from math import prod
+
+import numpy as np
 
 from .algebra import MultiPoly, lagrange_interpolate, poly_from_counts
 from .arbor import Arbor, constraints
@@ -35,8 +35,6 @@ _BLOCK = 4096
 def _children(rows, lo, taken):
     """Repeat row i of rows taken[i] times; the copies of row i take the
     values lo[i], lo[i] + 1, ... (lo may be a scalar)."""
-    import numpy as np
-
     ends = taken.cumsum()
     vals = np.arange(ends[-1]) + (lo - ends + taken).repeat(taken)
     return rows.repeat(taken, axis=0), vals
@@ -58,8 +56,6 @@ def _prefix_blocks(t: Arbor, u: int):
     Budgets, caps and block sums are int64: u * n must stay below
     2^62 / _BLOCK (2^50), else ValueError.
     """
-    import numpy as np
-
     if u < 0:
         raise ValueError("dilation factor must be >= 0")
     n = t.size
@@ -98,8 +94,6 @@ def enumerate_points(t: Arbor, u: int):
     """All integer points of the u-th dilate: an (N, n) int64 array in lex order.
 
     ValueError if u < 0 or u * n reaches 2^62 / _BLOCK."""
-    import numpy as np
-
     return np.concatenate([np.column_stack(_children(prefixes, 0, caps + 1))
                            for prefixes, caps in _prefix_blocks(t, u)])
 
@@ -141,8 +135,6 @@ class Poset:
     __slots__ = ("points", "heights", "steps", "size")
 
     def __init__(self, points):
-        import numpy as np
-
         self.points = arr = np.asarray(points, dtype=np.int64)
         self.size = len(arr)
         self.heights = arr.sum(axis=1)
@@ -184,8 +176,6 @@ def multichain_weight_counts(P: Poset, top: int) -> dict:
     |P|^(m-1); so the vectors are int64 while |P|^(top-1) < 2^63, and
     Python ints otherwise.
     """
-    import numpy as np
-
     if top < 2:
         raise ValueError("multichains need m >= 2")
     vecs = np.ones((top - 1, P.size), dtype=np.int64 if P.size ** (top - 1) < 2 ** 63 else object)
@@ -227,8 +217,6 @@ def mobius_oracle(P: Poset) -> dict:
     perfbench/tracing.py times it and counts its entries by name, so it
     stays in the package until the tracer no longer names it.
     """
-    import numpy as np
-
     above = [set(np.nonzero((P.points >= p).all(axis=1))[0].tolist()) for p in P.points]
     mu: dict = {}
     for a in range(P.size):
@@ -253,8 +241,6 @@ def m_triangle_oracle(P: Poset) -> MultiPoly:
     signed rows of H at distinct points below b, so |W| <= |P|.  An entry of
     W^T H sums |P| entries of W: at most |P|^2 < 2^63 for |P| < 3 * 10^9.
     """
-    import numpy as np
-
     H = np.eye(int(P.heights.max()) + 1, dtype=np.int64)[P.heights]
     W = H.copy()
     for idx, nb in reversed(P.steps):
@@ -268,8 +254,6 @@ def m_triangle_oracle(P: Poset) -> MultiPoly:
 
 def k_oracle(P: Poset) -> MultiPoly:
     """Sum of X^(nonzero coordinates) * Y^(coordinate sum) over the point poset."""
-    import numpy as np
-
     counts = Counter(zip(np.count_nonzero(P.points, axis=1).tolist(), P.heights.tolist()))
     return poly_from_counts(counts, "X", "Y")
 

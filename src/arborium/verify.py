@@ -22,8 +22,6 @@ from . import invariants
 
 DEFAULT_ORDER = 10
 
-THEOREMS = ("zeta", "m_triangle", "ehrhart", "laplace")
-
 _U = MultiPoly.variable("u")
 _X = MultiPoly.variable("X")
 _Y = MultiPoly.variable("Y")
@@ -180,3 +178,5 @@ VERIFIERS = {
     "ehrhart": verify_ehrhart,
     "laplace": verify_laplace,
 }
+
+THEOREMS = tuple(VERIFIERS)

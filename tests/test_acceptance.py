@@ -22,7 +22,7 @@ from arborium.crosscheck import corpus_check, cross_check
 from arborium import invariants, oracle, verify
 from fan_forms import ehrhart_tn_alternating
 
-u, X, Y, E, V, s, v = gens()
+u, X, Y, E, V, s = gens()
 
 FIGURE_ARBOR = "{1,2}({3}({6,7},{8}),{4,5})"
 CORPUS_SEED = 20260809

@@ -27,7 +27,7 @@ from arborium.algebra import (
 )
 from arborium.invariants import m_from_k
 
-u, X, Y, E, V, s, v = gens()
+u, X, Y, E, V, s = gens()
 
 
 def random_poly(rng, variables=(u, X, Y), max_terms=4, max_exp=3):
@@ -522,21 +522,21 @@ def test_product_reaching_the_degree_limit_overflows():
     with pytest.raises(OverflowError):
         top * X
     with pytest.raises(OverflowError):
-        (1 + top) * (1 + u * v)
+        (1 + top) * (1 + u * s)
     with pytest.raises(OverflowError):
-        MultiPoly({(0, DEGREE_LIMIT - 3, 0, 0, 0, 1, 2): 1})
+        MultiPoly({(0, DEGREE_LIMIT - 3, 0, 0, 1, 2): 1})
 
 
 def test_negative_exponent_is_rejected():
     with pytest.raises(ValueError):
-        MultiPoly({(0, -1, 0, 0, 0, 0, 0): 1})
+        MultiPoly({(0, -1, 0, 0, 0, 0): 1})
     with pytest.raises(ValueError):
-        MultiPoly({(1, 0, 0, 0, 0, 0, -2): 3})
+        MultiPoly({(1, 0, 0, 0, 0, -2): 3})
 
 
 def test_one_polynomial_built_two_ways_has_one_representation():
     a = (Fraction(1, 2) * X + Fraction(1, 3)) * (X - Fraction(2, 3))
-    b = MultiPoly({(0, 2, 0, 0, 0, 0, 0): Fraction(1, 2), (0, 0, 0, 0, 0, 0, 0): Fraction(-2, 9)})
+    b = MultiPoly({(0, 2, 0, 0, 0, 0): Fraction(1, 2), (0, 0, 0, 0, 0, 0): Fraction(-2, 9)})
     assert a == b and hash(a) == hash(b) and str(a) == str(b) == "-2/9 + 1/2*X^2"
     c = (X + 1) * (X - 1) * Fraction(3, 6)
     d = X ** 2 * Fraction(1, 2) - Fraction(1, 2)
@@ -547,10 +547,10 @@ def test_one_polynomial_built_two_ways_has_one_representation():
 def test_terms_is_a_read_only_view():
     p = Fraction(3, 4) * X ** 2 * Y - 5 * u + 1
     assert len(p.terms) == 3
-    assert dict(p.terms) == {(0, 2, 1, 0, 0, 0, 0): Fraction(3, 4),
-                             (1, 0, 0, 0, 0, 0, 0): Fraction(-5),
-                             (0, 0, 0, 0, 0, 0, 0): Fraction(1)}
-    assert p.terms[(1, 0, 0, 0, 0, 0, 0)] == -5
-    assert (0, 1, 0, 0, 0, 0, 0) not in p.terms
+    assert dict(p.terms) == {(0, 2, 1, 0, 0, 0): Fraction(3, 4),
+                             (1, 0, 0, 0, 0, 0): Fraction(-5),
+                             (0, 0, 0, 0, 0, 0): Fraction(1)}
+    assert p.terms[(1, 0, 0, 0, 0, 0)] == -5
+    assert (0, 1, 0, 0, 0, 0) not in p.terms
     with pytest.raises(TypeError):
-        p.terms[(0, 1, 0, 0, 0, 0, 0)] = 1
+        p.terms[(0, 1, 0, 0, 0, 0)] = 1

@@ -225,6 +225,8 @@ def test_direct_construction_validation():
         ({0: {1}, 1: {2}}, {0: [1], 1: [1]}, "vertex has two parents"),
         ({0: {1}, 1: {2}, 2: {3}}, {0: [1, 2], 1: [2]}, "vertex has two parents"),
         ({0: {1}, 1: {2}}, {0: [1, 1]}, "vertex has two parents"),
+        # bool is an int, but {True} would serialize to text that does not parse
+        ({0: {True}, 1: {2}}, {0: [1]}, "labels must be positive integers, got True"),
     ]
     for vertices, children, message in cases:
         with pytest.raises(ArborError) as err:

@@ -17,7 +17,7 @@ from arborium.cli import MAX_COMPUTE_SIZE, MAX_ORDER, MAX_PER_SIZE, MAX_TN, buil
 from arborium.crosscheck import cross_check
 from arborium.invariants import ehrhart, laplace, m_triangle
 
-u, X, Y, E, V, s, v = gens()
+u, X, Y, E, V, s = gens()
 
 
 def run(capsys, *argv):

@@ -31,7 +31,7 @@ from arborium.invariants import (
 from arborium import oracle
 from fan_forms import ehrhart_tn_alternating
 
-u, X, Y, E, V, s, v = gens()
+u, X, Y, E, V, s = gens()
 
 
 # -- zeta -------------------------------------------------------------------

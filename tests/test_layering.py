@@ -13,6 +13,11 @@ Two more keep one binding per public name, in its defining module:
 
 * __init__.py imports nothing and binds only dunder names;
 * no module defines __all__.
+
+Two keep numpy off the verify and compute paths, with one place that loads it:
+
+* only oracle.py imports numpy, and only at module level;
+* cli.py imports crosscheck (and so oracle) only inside a function.
 """
 
 import ast
@@ -117,6 +122,37 @@ def namespace_faults(name, source):
     return faults
 
 
+def _in_functions(tree):
+    """Ids of the nodes that lie inside a function body."""
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            inside.update(id(sub) for sub in ast.walk(node) if sub is not node)
+    return inside
+
+
+def import_placement_faults(name, source):
+    """Every breach of the two numpy rules in the source of package module name."""
+    tree = ast.parse(source)
+    inside = _in_functions(tree)
+    faults = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            numpy = any(a.name.split(".")[0] == "numpy" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            numpy = node.level == 0 and (node.module or "").split(".")[0] == "numpy"
+        else:
+            continue
+        if numpy and name != "oracle":
+            faults.append(f"{name}:{node.lineno} imports numpy")
+        elif numpy and id(node) in inside:
+            faults.append(f"{name}:{node.lineno} imports numpy inside a function")
+        if name == "cli" and id(node) not in inside and any(
+                module == "crosscheck" for module, _, _ in _imports(node)):
+            faults.append(f"{name}:{node.lineno} imports crosscheck at module level")
+    return faults
+
+
 def test_the_package_keeps_its_layering():
     faults = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -140,18 +176,55 @@ def census(window):
         "oracle:5 imports from verify", "oracle:6 imports from cli",
         "oracle:9 reads verify._helper"]
     crosscheck_source = """
-from arborium.invariants import _laurent_volume
+from arborium.invariants import _k_step
 from arborium import oracle
 from . import invariants
 
 def check(window, P):
-    return invariants._laurent_volume(window), oracle._BLOCK, P._private
+    return invariants._k_step(window), oracle._BLOCK, P._private
 """
     assert sorted(layering_faults("crosscheck", crosscheck_source)) == [
-        "crosscheck:2 imports invariants._laurent_volume",
-        "crosscheck:7 reads invariants._laurent_volume", "crosscheck:7 reads oracle._BLOCK"]
+        "crosscheck:2 imports invariants._k_step",
+        "crosscheck:7 reads invariants._k_step", "crosscheck:7 reads oracle._BLOCK"]
     assert layering_faults("invariants", "from .oracle import k_oracle\n") == [
         "invariants:1 imports from oracle"]
+
+
+def test_numpy_loads_through_one_import():
+    faults = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        faults += import_placement_faults(path.stem, path.read_text())
+    assert faults == []
+
+
+def test_the_check_sees_import_placement_faults():
+    oracle_source = """
+import numpy as np
+
+def census(P):
+    import numpy
+    from numpy.linalg import solve
+    return np, numpy, solve
+"""
+    assert import_placement_faults("oracle", oracle_source) == [
+        "oracle:5 imports numpy inside a function", "oracle:6 imports numpy inside a function"]
+    assert sorted(import_placement_faults("invariants", "import numpy.linalg\n"
+                                          "from numpy import int64\n")) == [
+        "invariants:1 imports numpy", "invariants:2 imports numpy"]
+    cli_source = """
+from .crosscheck import cross_check
+from . import crosscheck, verify
+import arborium.crosscheck as cc
+if cc:
+    from arborium.crosscheck import corpus_check
+
+def cmd_oracle_check(args):
+    from .crosscheck import check_point_limit
+    return check_point_limit
+"""
+    assert sorted(import_placement_faults("cli", cli_source)) == [
+        "cli:2 imports crosscheck at module level", "cli:3 imports crosscheck at module level",
+        "cli:4 imports crosscheck at module level", "cli:6 imports crosscheck at module level"]
 
 
 def test_each_public_name_has_one_binding():

@@ -26,7 +26,7 @@ from arborium.oracle import (
     zeta_oracle,
 )
 
-u, X, Y, E, V, s, v = gens()
+u, X, Y, E, V, s = gens()
 
 FIGURE = "{1,2}({3}({6,7},{8}),{4,5})"
 

@@ -15,7 +15,7 @@ from arborium.algebra import MultiPoly, binom_poly, gens, int_binom, poly_counts
 from arborium.arbor import parse_arbor
 from arborium.crosscheck import corpus_check, cross_check
 
-u, X, Y, E, V, s, v = gens()
+u, X, Y, E, V, s = gens()
 
 FIGURE = "{1,2}({3}({6,7},{8}),{4,5})"
 
@@ -44,11 +44,17 @@ def m_from_k_sign_flip(k):
     return poly_from_counts(terms, "X", "Y")
 
 
+def volume_doubled(t, volume=invariants.volume):
+    # twice the v^0 Laurent coefficient of the Laplace transform
+    return 2 * volume(t)
+
+
 # (recursion, mutant, the oracle check that must be among the failures)
 PLANTED = [
     ("_zeta_step", zeta_step_base_off_by_one, "zeta vs multichain oracle"),
     ("_k_step", k_step_without_the_support_binomial, "k vs point census"),
     ("m_from_k", m_from_k_sign_flip, "m vs moebius oracle"),
+    ("volume", volume_doubled, "volume vs ehrhart leading"),
 ]
 
 

@@ -82,7 +82,7 @@ def test_subs_matches_sympy(p, mapping):
 
 # -- the ring operations, division and series expansion ---------------------
 
-ALL = ("u", "X", "Y", "E", "V", "s", "v")
+ALL = ("u", "X", "Y", "E", "V", "s")
 small_ints = st.integers(-3, 3)
 
 

@@ -7,7 +7,7 @@ import pytest
 from arborium.algebra import MultiPoly, gens
 from arborium import invariants, verify
 
-u, X, Y, E, V, s, v = gens()
+u, X, Y, E, V, s = gens()
 
 
 @pytest.mark.parametrize("name", verify.THEOREMS)
