@@ -23,7 +23,13 @@ list, which nothing reads back, and the terms view is for tests and tools.
 Newton interpolation, the Laurent window and census polynomials from int
 counts work on these integer numerators over one denominator as well: they
 build no Fraction per term and no intermediate MultiPoly, and canonicalise
-once at the end.
+once at the end.  poly_from_counts packs only the named fields of each key.
+
+Series of non-negative int counts, such as a lattice-point census, can skip
+the polynomials altogether: Kronecker packs such a list into one int with a
+fixed-width field per entry, so a truncated product is one int product and
+one mask, valid while every kept entry stays within the count bound that
+sets the width.
 """
 
 from __future__ import annotations
@@ -439,11 +445,6 @@ def _monomial_text(key: int) -> str:
                     for name, e in zip(VARIABLES, _unpack(key)) if e)
 
 
-def gens() -> tuple:
-    """The six generators (u, X, Y, E, V, s), in canonical order."""
-    return tuple(MultiPoly.variable(name) for name in VARIABLES)
-
-
 def poly_from_counts(counts, *names) -> MultiPoly:
     """Census polynomial: the sum of c * name_1^e_1 * ... over {key: c}.
 
@@ -451,22 +452,41 @@ def poly_from_counts(counts, *names) -> MultiPoly:
     exponent per name; a count is an int or a Fraction, and zero counts are
     dropped.  When every count is an int they are the numerators over
     denominator 1 as they stand; otherwise each becomes a Fraction and they
-    go over the lcm of the denominators.  poly_counts is the inverse.
+    go over the lcm of the denominators.  Only the named fields of a key are
+    packed: a negative exponent raises ValueError and a total degree of
+    DEGREE_LIMIT or more raises OverflowError, as MultiPoly keys require.
+    poly_counts is the inverse.
     """
-    slots = [_VAR_INDEX[name] for name in names]
-    exps = [0] * _NVARS
+    shifts = [_SHIFTS[_VAR_INDEX[name]] for name in names]
+    single = len(shifts) == 1
     nums = {}
     rational = False
     for key, c in counts.items():
-        for slot, e in zip(slots, key if len(slots) > 1 else (key,), strict=True):
-            exps[slot] = e
+        exps = (key,) if single else key
+        packed = total = 0
+        for shift, e in zip(shifts, exps, strict=True):
+            e = index(e)
+            if e < 0:
+                raise ValueError(f"negative exponent in {_exponent_tuple(names, exps)}")
+            packed += e << shift
+            total += e
+        if total >= DEGREE_LIMIT:
+            raise OverflowError(f"total degree {total} reaches the limit {DEGREE_LIMIT}")
         if type(c) is not int:
             c = _frac(c)
             rational = True
-        nums[_pack(exps)] = c
+        nums[(total << _DEG_SHIFT) | packed] = c
     if rational:
         return _from_fractions(nums)
     return _new({k: c for k, c in nums.items() if c}, 1)
+
+
+def _exponent_tuple(names, exps) -> tuple:
+    """The full exponent tuple of a key, for error messages."""
+    full = [0] * _NVARS
+    for name, e in zip(names, exps):
+        full[_VAR_INDEX[name]] = e
+    return tuple(full)
 
 
 def _check_variables(p: MultiPoly, names) -> None:
@@ -545,6 +565,52 @@ def series_mul(a, b, order: int) -> list:
         for j, y in enumerate(b[:order + 1 - i], i):
             out[j] += x * y
     return out
+
+
+class Kronecker:
+    """Truncated products of series of non-negative int counts as int products.
+
+    Kronecker substitution (see von zur Gathen and Gerhard, Modern Computer
+    Algebra): the count list [c_0, c_1, ...] packs into the one int sum of
+    c_i * 2^(i*w), so the series_mul of two lists is one int product cut by
+    one mask.  The field width w is the bit length of bound,
+    rounded up to whole bytes, so that pack and unpack are one
+    int.from_bytes and one int.to_bytes, linear in the length.
+
+    Contract: every count packed, and every entry of a product up to its
+    cut, is a non-negative int at most bound.  Then no field below the cut
+    carries into the next one, so the cut keeps the exact entries.  The
+    entries above the cut may exceed bound, but their carries only move up,
+    into fields the cut drops.  pack raises TypeError for a count that is
+    not an int and OverflowError for one that is negative or wider than a
+    field; a product entry above bound below the cut is not detected.
+    """
+
+    __slots__ = ("nbytes", "bits")
+
+    def __init__(self, bound: int):
+        if bound < 0:
+            raise ValueError("count bound must be >= 0")
+        self.nbytes = max(1, (bound.bit_length() + 7) // 8)
+        self.bits = 8 * self.nbytes
+
+    def pack(self, counts) -> int:
+        """The int whose field i holds counts[i]."""
+        nbytes = self.nbytes
+        return int.from_bytes(b"".join(index(c).to_bytes(nbytes, "little") for c in counts),
+                              "little")
+
+    def mul(self, a: int, b: int, order: int) -> int:
+        """Packed product of a and b, cut after entry order, as series_mul."""
+        return a * b & ((1 << (order + 1) * self.bits) - 1)
+
+    def unpack(self, packed: int, length: int) -> list:
+        """The first length counts of packed; OverflowError if a later field
+        is nonzero."""
+        nbytes = self.nbytes
+        data = packed.to_bytes(length * nbytes, "little")
+        return [int.from_bytes(data[i:i + nbytes], "little")
+                for i in range(0, len(data), nbytes)]
 
 
 def series_expand_rational(num: MultiPoly, den: MultiPoly, order: int) -> list:

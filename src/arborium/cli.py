@@ -29,10 +29,11 @@ from .invariants import INVARIANT_NAMES, compute_invariants
 from .verify import DEFAULT_ORDER, THEOREMS, VERIFIERS
 
 # Input limits.  Each is set so that the largest accepted input ends within
-# about 10 s; the times are single runs on a shared 2-CPU VM with CPython 3.11.
-MAX_ORDER = 52          # verify --order / ARBORIUM_ORDER: all four theorems, 8.6 s
-MAX_COMPUTE_SIZE = 30   # compute --tn / --arbor size: every invariant, 1.1 s at most
-                        # (16 random arbors 0.6-1.1 s, t_30 0.9 s, 30-deep path 0.5 s)
+# about 10 s; the times are single runs on a shared 2-CPU VM with CPython 3.11,
+# and a range spans three to five such runs.
+MAX_ORDER = 52          # verify --order / ARBORIUM_ORDER: all four theorems, 4.4-6.0 s
+MAX_COMPUTE_SIZE = 30   # compute --tn / --arbor size: every invariant, 1.0 s at most
+                        # (16 random arbors 0.4-1.0 s, t_30 0.5-0.9 s, 30-deep path 0.3-0.5 s)
 MAX_TN = 800_000        # tn N: 3.5-3.7 s and 577 MB peak RSS; building t_N takes
                         # 2.6-3.5 s of it (validating 1.3-2.1 s), writing its text 0.8-1.3 s
 MAX_PER_SIZE = 40       # oracle-check --per-size: 1.2-1.4 s on the default seed

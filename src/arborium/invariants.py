@@ -1,14 +1,17 @@
-"""Recursions and closed forms for the arbor invariants.
+"""Recursions for the arbor invariants, and two fan-family closed forms.
 
 Every recursion is one bottom-up Arbor.fold with one rule per vertex: own
 factor times children, cut at height n.  The own factor weighs the vertex's r
 own coordinates, the children's results are multiplied in, and the vertex's
 inequality (coordinates of the sub-tree sum to at most its size n) cuts the
-result.  zeta_poly and k_poly keep polynomials by height and share the step
-_cut_product; ehrhart_heights keeps counts by height and applies its own
-factor 1/(1-x)^r as r prefix sums; laplace's own factor is V^r, cut by
-truncate_laplace, which also adds boundary corrections.  m_triangle, ehrhart
-and volume are read off k_poly, ehrhart_heights and laplace:
+result.  zeta_poly keeps polynomials in u and X by height, multiplied by
+the step _cut_product.  k_poly keeps non-negative int counts of X^l Y^h, so
+each list is one Kronecker-packed int (see algebra.Kronecker): a child's
+product is one int product and the cut is one mask.  ehrhart_heights keeps
+counts by height and applies its own factor 1/(1-x)^r as r prefix sums;
+laplace's own factor is V^r, cut by truncate_laplace, which also adds
+boundary corrections.  m_triangle, ehrhart and volume are read off k_poly,
+ehrhart_heights and laplace:
 
 * zeta_poly       height-weighted zeta polynomial Z(u, X)
 * k_poly          nonzero-coordinate/height census K(X, Y)
@@ -19,22 +22,23 @@ and volume are read off k_poly, ehrhart_heights and laplace:
 * volume          v^0 Laurent coefficient of the Laplace transform; raises
                   LaurentDegreeError if the transform is not entire
 
-plus the closed forms for the fan family t_n.
+plus the closed forms of Ehrhart and Laplace for the fan family t_n, which
+verify reads; the tests keep the other fan closed forms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import accumulate
 from math import comb, factorial
 from operator import mul
 
 from .algebra import (
     ExactDivisionError,
+    Kronecker,
     MultiPoly,
     binom_poly,
-    int_binom,
     lagrange_interpolate,
     laplace_laurent,
     poly_counts,
@@ -45,7 +49,6 @@ from .arbor import Arbor
 
 _U = MultiPoly.variable("u")
 _X = MultiPoly.variable("X")
-_Y = MultiPoly.variable("Y")
 _E = MultiPoly.variable("E")
 _V = MultiPoly.variable("V")
 
@@ -53,7 +56,7 @@ _V = MultiPoly.variable("V")
 # -- the height-graded fold step -----------------------------------------------
 
 def _cut_product(own, kids) -> list:
-    """Fold step shared by zeta_poly and k_poly.
+    """Fold step of zeta_poly.
 
     Every list is a series in the height, [c_0, ..., c_cap].  own[h] weighs
     the vertex's own coordinates summing to h; each child's list is
@@ -81,18 +84,6 @@ def _zeta_step(labels, n, kids) -> list:
     return _cut_product([binom_poly(base + h, h) for h in range(n + 1)], kids)
 
 
-def zeta_tn_closed(n: int) -> MultiPoly:
-    """Closed form of Z(u, 1) for the fan arbor t_n."""
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    acc = MultiPoly.zero()
-    for k in range(n):
-        acc = acc + (int_binom(n - 1, k)
-                     * (_U - 1) ** k
-                     * binom_poly(_U + (n - k - 1), n - k))
-    return acc
-
-
 # -- K polynomial and M-triangle -------------------------------------------------
 
 def k_poly(t: Arbor) -> MultiPoly:
@@ -100,26 +91,37 @@ def k_poly(t: Arbor) -> MultiPoly:
 
     Own factor times children, cut at height n: r own coordinates reach
     height h with l of them nonzero in C(r, l) C(h-1, h-l) ways, weighted
-    X^l; the root's list c_h gives K = sum of c_h Y^h.
+    X^l Y^h.  Every list is a Kronecker-packed int whose field h(N+1) + l
+    holds the count of X^l Y^h, with N = t.size; as l <= h <= N, the fields
+    of heights up to n are exactly those below (n+1)(N+1).  So a child's
+    product is one int product, the cut at n is one mask, and the root is
+    unpacked once.
+
+    Width: at a vertex of sub-tree size n, a kept field counts vectors of
+    at most n non-negative int coordinates with sum h <= n, at most
+    C(2n-1, n-1) < C(2N, N), the count bound given to Kronecker.  A term of
+    height above n lands at field (n+1)(N+1) or beyond, since l >= 0, and
+    its carries only move up, so the cut leaves the kept counts exact.
     """
-    return sum((c * _Y ** h for h, c in enumerate(t.fold(_k_step))), MultiPoly.zero())
+    size = t.size
+    packer = Kronecker(comb(2 * size, size))
+    root = t.fold(partial(_k_step, packer, size))
+    row = size + 1
+    counts = packer.unpack(root, row * row)
+    return poly_from_counts({(l, h): counts[h * row + l]
+                             for h in range(row) for l in range(h + 1)}, "X", "Y")
 
 
-def _k_step(labels, n, kids) -> list:
+def _k_step(packer, size, labels, n, kids) -> int:
     r = len(labels)
-    own = [sum((int_binom(r, l) * int_binom(h - 1, h - l) * _X ** l
-                for l in range(min(h, r) + 1)), MultiPoly.zero())
-           for h in range(n + 1)]
-    return _cut_product(own, kids)
-
-
-def k_tn_closed(n: int) -> MultiPoly:
-    """Closed form of K(X, Y) for the fan arbor t_n; the division by 1 - Y
-    must be exact."""
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    bracket = _X * _Y ** 2 * ((1 + _X * _Y) ** (n - 1) - (_Y * (1 + _X)) ** (n - 1))
-    return (1 + _X * _Y) ** n + bracket.exact_div(1 - _Y)
+    row = size + 1
+    own = [0] * ((n + 1) * row)
+    own[0] = 1  # h = 0: the origin
+    for h in range(1, n + 1):
+        for l in range(1, min(h, r) + 1):
+            own[h * row + l] = comb(r, l) * comb(h - 1, h - l)
+    order = len(own) - 1
+    return reduce(lambda g, kid: packer.mul(g, kid, order), kids, packer.pack(own))
 
 
 def m_triangle(t: Arbor) -> MultiPoly:
@@ -148,21 +150,6 @@ def m_from_k(k: MultiPoly) -> MultiPoly:
         for i in range(j + 1):
             terms[h - i, h] = terms.get((h - i, h), 0) + (-1) ** i * comb(j, i) * c
     return poly_from_counts(terms, "X", "Y")
-
-
-def m_tn_closed(n: int) -> MultiPoly:
-    """Closed form of the M-triangle for t_n.
-
-    With A = 1 + XY - Y and B = 2XY - Y, the result is A^n plus
-    (X^2 Y^2 - X Y^2)(A^(n-1) - B^(n-1)) / (1 - XY); combining the two
-    fraction terms first keeps everything polynomial.
-    """
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    a = 1 + _X * _Y - _Y
-    b = 2 * _X * _Y - _Y
-    numer = (_X ** 2 * _Y ** 2 - _X * _Y ** 2) * (a ** (n - 1) - b ** (n - 1))
-    return a ** n + numer.exact_div(1 - _X * _Y)
 
 
 # -- Ehrhart ---------------------------------------------------------------------

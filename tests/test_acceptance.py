@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from arborium.algebra import MultiPoly, gens, laplace_laurent
+from arborium.algebra import MultiPoly, laplace_laurent
 from arborium.arbor import (
     Arbor,
     constraints,
@@ -20,7 +20,7 @@ from arborium.arbor import (
 )
 from arborium.crosscheck import corpus_check, cross_check
 from arborium import invariants, oracle, verify
-from fan_forms import ehrhart_tn_alternating
+from fan_forms import ehrhart_tn_alternating, gens
 
 u, X, Y, E, V, s = gens()
 

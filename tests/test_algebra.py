@@ -12,9 +12,10 @@ from arborium.algebra import (
     VARIABLES,
     ExactDivisionError,
     InterpolationError,
+    Kronecker,
     MultiPoly,
+    _pack,
     binom_poly,
-    gens,
     int_binom,
     lagrange_interpolate,
     laplace_laurent,
@@ -26,6 +27,7 @@ from arborium.algebra import (
     series_pow_symbolic,
 )
 from arborium.invariants import m_from_k
+from fan_forms import gens
 
 u, X, Y, E, V, s = gens()
 
@@ -497,6 +499,46 @@ def test_poly_from_counts_takes_exact_rationals_only():
         poly_from_counts({1: 0.5}, "X")
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_poly_from_counts_packs_keys_as_the_general_pack(data):
+    # The old path set the named slots of a six-exponent tuple and packed it
+    # with _pack, which raised ValueError on a negative exponent and
+    # OverflowError at a total degree of DEGREE_LIMIT; the named-slot path
+    # must build the same terms and raise the same errors.
+    names = data.draw(st.lists(st.sampled_from(VARIABLES), min_size=1, unique=True))
+    exps = (st.integers(0, 3) | st.integers(-2, 2) | st.integers(0, DEGREE_LIMIT + 1)
+            | st.sampled_from([DEGREE_LIMIT - 1, DEGREE_LIMIT, DEGREE_LIMIT // 2]))
+    key = exps if len(names) == 1 else st.tuples(*[exps] * len(names))
+    count = st.integers(-9, 9) | st.fractions(-9, 9, max_denominator=6)
+    counts = data.draw(st.dictionaries(key, count, max_size=6))
+    expected, error = {}, None
+    try:
+        for k, c in counts.items():
+            full = [0] * len(VARIABLES)
+            for name, e in zip(names, k if len(names) > 1 else (k,), strict=True):
+                full[VARIABLES.index(name)] = e
+            _pack(full)
+            if c:
+                expected[tuple(full)] = Fraction(c)
+    except (ValueError, OverflowError) as exc:
+        error = exc
+    if error is None:
+        assert dict(poly_from_counts(counts, *names).terms) == expected
+    else:
+        with pytest.raises(type(error)) as raised:
+            poly_from_counts(counts, *names)
+        assert str(raised.value) == str(error)
+
+
+def test_poly_from_counts_exponent_errors():
+    with pytest.raises(ValueError, match=r"negative exponent in \(0, 2, -1, 0, 0, 0\)"):
+        poly_from_counts({(2, -1): 1}, "X", "Y")
+    with pytest.raises(OverflowError, match=f"total degree {DEGREE_LIMIT} reaches"):
+        poly_from_counts({(DEGREE_LIMIT - 1, 1): 1}, "E", "s")
+    assert poly_from_counts({DEGREE_LIMIT - 1: 1}, "u") == u ** (DEGREE_LIMIT - 1)
+
+
 def test_canonical_text():
     assert str(MultiPoly.zero()) == "0"
     assert str(1 + Fraction(5, 2) * u + Fraction(3, 2) * u ** 2) == "1 + 5/2*u + 3/2*u^2"
@@ -554,3 +596,46 @@ def test_terms_is_a_read_only_view():
     assert (0, 1, 0, 0, 0, 0) not in p.terms
     with pytest.raises(TypeError):
         p.terms[(0, 1, 0, 0, 0, 0)] = 1
+
+
+# -- Kronecker packing ---------------------------------------------------------
+
+_COUNT = (st.integers(0, 3) | st.integers(0, 2 ** 70)
+          | st.sampled_from([2 ** 8 - 1, 2 ** 8, 2 ** 16 - 1, 2 ** 64 - 1, 2 ** 64]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_COUNT, max_size=7), st.lists(_COUNT, max_size=7))
+@example([1, 0, 255], [1, 0, 255])  # above a cut at 1, 510 and 65025 carry
+@example([255], [1])
+@example([], [3])
+def test_kronecker_product_matches_series_mul(a, b):
+    # At every cut the bound is the largest entry packed or kept, so the
+    # largest kept entry needs the top bit of its width; the entries above
+    # the cut may exceed the bound and carry, but only upward.
+    for order in range(len(a) + len(b) + 1):
+        expected = series_mul(a, b, order)
+        packer = Kronecker(max(a + b + expected, default=0))
+        product = packer.mul(packer.pack(a), packer.pack(b), order)
+        assert packer.unpack(product, order + 1) == expected
+
+
+def test_kronecker_width_and_contract():
+    assert Kronecker(0).bits == Kronecker(255).bits == 8
+    assert Kronecker(256).bits == 16 and Kronecker(2 ** 64 - 1).nbytes == 8
+    packer = Kronecker(255)
+    assert packer.unpack(packer.pack([255, 0, 7]), 4) == [255, 0, 7, 0]
+    assert packer.pack([True]) == 1
+    for bad in (-1, 256):
+        with pytest.raises(OverflowError):
+            packer.pack([1, bad])
+    for bad in (Fraction(1), 1.0):
+        with pytest.raises(TypeError):
+            packer.pack([bad])
+    with pytest.raises(OverflowError):  # a field past the length is nonzero
+        packer.unpack(packer.pack([1, 2, 3]), 2)
+    with pytest.raises(ValueError):
+        Kronecker(-1)
+    # A kept entry above the bound breaks the contract: 16 * 16 = 256 does
+    # not fit a byte and carries into the next kept field.
+    assert packer.unpack(packer.mul(packer.pack([16, 1]), packer.pack([16]), 1), 2) == [0, 17]

@@ -11,11 +11,12 @@ from pathlib import Path
 import pytest
 
 from arborium import invariants, oracle, verify
-from arborium.algebra import gens, poly_to_terms
+from arborium.algebra import poly_to_terms
 from arborium.arbor import ArborError, make_tn, parse_arbor
 from arborium.cli import MAX_COMPUTE_SIZE, MAX_ORDER, MAX_PER_SIZE, MAX_TN, build_parser, main
 from arborium.crosscheck import cross_check
 from arborium.invariants import ehrhart, laplace, m_triangle
+from fan_forms import gens
 
 u, X, Y, E, V, s = gens()
 

@@ -9,7 +9,7 @@ from operator import mul
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from arborium.algebra import MultiPoly, binom_poly, gens, laplace_laurent
+from arborium.algebra import MultiPoly, binom_poly, laplace_laurent
 from arborium.arbor import (
     Arbor, make_tn, parse_arbor, random_arbor, random_corpus, serialize_arbor)
 from arborium.invariants import (
@@ -18,18 +18,16 @@ from arborium.invariants import (
     ehrhart_heights,
     ehrhart_tn_closed,
     k_poly,
-    k_tn_closed,
     laplace,
     laplace_tn_closed,
     m_triangle,
-    m_tn_closed,
     truncate_laplace,
     volume,
     zeta_poly,
-    zeta_tn_closed,
 )
 from arborium import oracle
-from fan_forms import ehrhart_tn_alternating
+from fan_forms import (
+    ehrhart_tn_alternating, gens, k_poly_by_lists, k_tn_closed, m_tn_closed, zeta_tn_closed)
 
 u, X, Y, E, V, s = gens()
 
@@ -91,6 +89,35 @@ def test_k_fan_closed_form():
     assert k_tn_closed(1) == 1 + X * Y
     for n in range(1, 7):
         assert k_tn_closed(n) == k_poly(make_tn(n))
+
+
+def _path(n):
+    return parse_arbor("".join("{%d}(" % i for i in range(1, n)) + "{%d}" % n + ")" * (n - 1))
+
+
+@pytest.mark.parametrize("arbors", [
+    lambda: [make_tn(n) for n in range(1, 31)],
+    # the corpus of the benchmark's corpus workload at its default seed
+    lambda: random_corpus(20260809, (1, 2, 3, 3, 4, 5, 5), 16),
+    lambda: [parse_arbor("{1,2}({3}({6,7},{8}),{4,5})")],
+    # the cut falls at every level, and the root's packed ints reach 2 Mbit
+    lambda: [_path(100)],
+], ids=["t1-t30", "corpus", "figure", "path-100"])
+def test_k_poly_matches_the_list_fold(arbors):
+    for t in arbors():
+        assert k_poly(t) == k_poly_by_lists(t), serialize_arbor(t)
+
+
+def test_k_poly_makes_no_polynomial_product(monkeypatch):
+    arbors = [make_tn(16), parse_arbor("{1,2}({3}({6,7},{8}),{4,5})"), _path(12)]
+    expected = [k_poly_by_lists(t) for t in arbors]
+
+    def refuse(self, other):
+        raise AssertionError("k_poly multiplied polynomials")
+
+    monkeypatch.setattr(MultiPoly, "__mul__", refuse)
+    monkeypatch.setattr(MultiPoly, "__rmul__", refuse)
+    assert [k_poly(t) for t in arbors] == expected
 
 
 def test_k_at_zero():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from arborium import oracle
-from arborium.algebra import MultiPoly, gens, poly_from_counts
+from arborium.algebra import MultiPoly, poly_from_counts
 from arborium.arbor import Arbor, constraints, make_tn, parse_arbor, random_arbor, random_corpus
 from arborium.oracle import (
     Poset,
@@ -25,6 +25,7 @@ from arborium.oracle import (
     multichain_weight_counts,
     zeta_oracle,
 )
+from fan_forms import gens
 
 u, X, Y, E, V, s = gens()
 

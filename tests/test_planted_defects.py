@@ -8,12 +8,16 @@ recursion is a failed check, never a crash.  A mutant that passed it would
 mean that oracle is not independent of the recursion it checks.
 """
 
+from functools import reduce
+from math import comb
+
 import pytest
 
 from arborium import invariants
-from arborium.algebra import MultiPoly, binom_poly, gens, int_binom, poly_counts, poly_from_counts
+from arborium.algebra import Kronecker, binom_poly, int_binom, poly_counts, poly_from_counts
 from arborium.arbor import parse_arbor
 from arborium.crosscheck import corpus_check, cross_check
+from fan_forms import gens
 
 u, X, Y, E, V, s = gens()
 
@@ -26,13 +30,23 @@ def zeta_step_base_off_by_one(labels, n, kids):
     return invariants._cut_product([binom_poly(base + h, h) for h in range(n + 1)], kids)
 
 
-def k_step_without_the_support_binomial(labels, n, kids):
+def k_step_without_the_support_binomial(packer, size, labels, n, kids):
     # drops C(r, l), the choice of which l own coordinates are nonzero
     r = len(labels)
-    own = [sum((int_binom(h - 1, h - l) * X ** l for l in range(min(h, r) + 1)),
-               MultiPoly.zero())
-           for h in range(n + 1)]
-    return invariants._cut_product(own, kids)
+    row = size + 1
+    own = [0] * ((n + 1) * row)
+    own[0] = 1
+    for h in range(1, n + 1):
+        for l in range(1, min(h, r) + 1):
+            own[h * row + l] = comb(h - 1, h - l)
+    order = len(own) - 1
+    return reduce(lambda g, kid: packer.mul(g, kid, order), kids, packer.pack(own))
+
+
+def kronecker_one_byte_fields(bound):
+    # one-byte fields whatever the count bound: a kept count of 256 or more
+    # carries into the next kept field (the figure arbor's K has a 388)
+    return Kronecker(255)
 
 
 def m_from_k_sign_flip(k):
@@ -53,6 +67,7 @@ def volume_doubled(t, volume=invariants.volume):
 PLANTED = [
     ("_zeta_step", zeta_step_base_off_by_one, "zeta vs multichain oracle"),
     ("_k_step", k_step_without_the_support_binomial, "k vs point census"),
+    ("Kronecker", kronecker_one_byte_fields, "k vs point census"),
     ("m_from_k", m_from_k_sign_flip, "m vs moebius oracle"),
     ("volume", volume_doubled, "volume vs ehrhart leading"),
 ]

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from arborium.algebra import MultiPoly, gens
+from arborium.algebra import MultiPoly
 from arborium import invariants, verify
+from fan_forms import gens
 
 u, X, Y, E, V, s = gens()
 
