@@ -523,24 +523,6 @@ def poly_to_terms(p: MultiPoly) -> list:
 
 # -- binomials --------------------------------------------------------------
 
-def int_binom(a: int, b: int) -> int:
-    """Integer binomial via falling factorials.
-
-    Conventions: 0 for b < 0, and 1 for b = 0 even when a is negative
-    (so int_binom(-1, 0) = 1); negative a follows the falling factorial.
-    """
-    if b < 0:
-        return 0
-    if b == 0:
-        return 1
-    num = 1
-    for i in range(b):
-        num *= a - i
-    q, r = divmod(num, factorial(b))
-    assert r == 0
-    return q
-
-
 def binom_poly(p: MultiPoly, k: int) -> MultiPoly:
     """Binomial coefficient with polynomial upper argument: p(p-1)...(p-k+1)/k!."""
     if k < 0:

@@ -10,9 +10,10 @@ Exit codes: 0 success, 1 verification or oracle disagreement, 2 usage or
 parse errors.  The environment variable ARBORIUM_ORDER overrides the
 default series order.  Every size input has an upper limit below.  Bad
 input raises UsageError before any work starts (an ArborError from reading
-an arbor is turned into one), and main alone turns it into "error: ..." and
-exit 2.  Any exception raised during the work, an ArborError included, is a
-defect and propagates, so it cannot pass for a usage error.
+an arbor is turned into one, and so is the PointLimitError that cross_check
+raises before any oracle runs), and main alone turns it into "error: ..."
+and exit 2.  Any other exception raised during the work, an ArborError
+included, is a defect and propagates, so it cannot pass for a usage error.
 """
 
 from __future__ import annotations
@@ -175,7 +176,7 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     # crosscheck loads numpy through oracle; verify and compute never need it
-    from .crosscheck import check_point_limit, corpus_check, cross_check
+    from .crosscheck import PointLimitError, corpus_check, cross_check
 
     if args.per_size < 1:
         raise UsageError("--per-size must be >= 1")
@@ -183,8 +184,10 @@ def cmd_oracle_check(args) -> int:
         raise UsageError(f"--per-size {args.per_size} exceeds the limit {MAX_PER_SIZE}")
     if args.arbor is not None:
         t = _read(parse_arbor, args.arbor)
-        _read(check_point_limit, t)
-        outcomes = cross_check(t)
+        try:
+            outcomes = cross_check(t)
+        except PointLimitError as exc:
+            raise UsageError(str(exc)) from None
     else:
         # In JSON mode the header goes to stderr, so stdout stays one JSON document.
         print(f"corpus: seed={args.seed} per_size={args.per_size} sizes 1..6",

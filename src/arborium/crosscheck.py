@@ -12,15 +12,17 @@ The oracles hold O(n |P|) memory: the point poset (its |P| x n int64
 points and their prefix-sum steps), the census vectors (one per m, at
 most n + 2), or the M-triangle sweep's two |P| x (top height + 1) int64
 matrices.  cross_check first calls check_point_limit, which raises
-ArborError above MAX_POINTS: at once if 2^n > MAX_POINTS, as every 0/1
+PointLimitError above MAX_POINTS: at once if 2^n > MAX_POINTS, as every 0/1
 vector is a point, else once the Ehrhart recursion at u = 1 counts |P|.
+The Ehrhart counts of every checked dilate come from one lattice walk,
+oracle.dilate_counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import InterpolationError, MultiPoly, poly_from_counts
+from .algebra import ExactDivisionError, InterpolationError, MultiPoly, poly_from_counts
 from .arbor import Arbor, ArborError, random_corpus, serialize_arbor
 from . import invariants, oracle
 
@@ -30,11 +32,12 @@ MAX_POINTS = 2 ** 15
 
 # Above this poset size, skip full zeta interpolation and the Ehrhart and
 # volume checks and use spot multichain evaluations instead.  The skipped
-# checks are no longer costly: on the figure arbor (|P| = 3464) count_points
-# takes 0.007-0.010 / 0.04-0.06 / 0.26-0.42 s at u = 2 / 3 / 4 and the full
-# zeta oracle, build included, 0.008-0.014 s (best of 3 in each of four
-# processes, shared 2-CPU VM, numpy 2.4).  The limit stays
-# until perfbench/pinned.json re-pins the figure arbor's output.
+# checks are no longer costly: on the figure arbor (|P| = 3464) counting
+# takes 0.006 / 0.05-0.06 / 0.26-0.27 s at u = 2 / 3 / 4 alone and
+# 0.31-0.32 s for u = 0..4 in one dilate_counts walk, and the full zeta
+# oracle, build included, 0.008-0.009 s (best of 3 in each of four
+# processes, shared 2-CPU VM, numpy 2.4).  The limit stays until
+# perfbench/pinned.json re-pins the figure arbor's output.
 _SPOT_LIMIT = 1500
 
 
@@ -52,24 +55,30 @@ def _outcome(text, name, lhs, rhs) -> CheckOutcome:
     return CheckOutcome(text, name, ok, detail)
 
 
+class PointLimitError(ArborError):
+    """An arbor with more than MAX_POINTS points, refused before any oracle
+    runs; oracle-check reports it as a usage error."""
+
+
 def check_point_limit(t: Arbor) -> None:
-    """Raise ArborError if the arbor has more than MAX_POINTS points; the
+    """Raise PointLimitError if the arbor has more than MAX_POINTS points; the
     size alone decides first (2^n points are 0/1 vectors), so a deep or wide
     arbor is refused without counting or enumerating a point."""
     if 2 ** t.size > MAX_POINTS:
-        raise ArborError(f"arbor of size {t.size} has at least 2^{t.size} points; "
-                         f"oracle checks stop at {MAX_POINTS}")
+        raise PointLimitError(f"arbor of size {t.size} has at least 2^{t.size} points; "
+                              f"oracle checks stop at {MAX_POINTS}")
     points = sum(invariants.ehrhart_heights(t, 1))
     if points > MAX_POINTS:
-        raise ArborError(f"arbor has {points} points; oracle checks stop at {MAX_POINTS}")
+        raise PointLimitError(f"arbor has {points} points; oracle checks stop at {MAX_POINTS}")
 
 
 def cross_check(t: Arbor) -> list:
     """All recursion/oracle agreements and cross identities for one arbor.
 
-    Raises ArborError from check_point_limit first.  An interpolation that
-    breaks its degree bound is a failed check (a defect), and the checks that
-    need its polynomial are left out."""
+    Raises PointLimitError from check_point_limit first.  An interpolation
+    that breaks its degree bound, or a K term that m_from_k cannot map, is a
+    failed check (a defect), and the checks that need its polynomial are
+    left out."""
     check_point_limit(t)
     text = serialize_arbor(t)
     out = []
@@ -90,9 +99,13 @@ def cross_check(t: Arbor) -> list:
     k = invariants.k_poly(t)
     out.append(_outcome(text, "k vs point census", k, oracle.k_oracle(P)))
 
-    m_tri = invariants.m_from_k(k)
-    out.append(_outcome(text, "m vs moebius oracle", m_tri, oracle.m_triangle_oracle(P)))
-    out.append(_outcome(text, "m at X=1", m_tri.subs({"X": 1}), MultiPoly.const(1)))
+    try:
+        m_tri = invariants.m_from_k(k)
+    except ExactDivisionError as exc:
+        out.append(CheckOutcome(text, "m vs moebius oracle", False, str(exc)))
+    else:
+        out.append(_outcome(text, "m vs moebius oracle", m_tri, oracle.m_triangle_oracle(P)))
+        out.append(_outcome(text, "m at X=1", m_tri.subs({"X": 1}), MultiPoly.const(1)))
 
     try:
         volume = invariants.volume(t)
@@ -111,10 +124,10 @@ def cross_check(t: Arbor) -> list:
         e = None
         out.append(CheckOutcome(text, "ehrhart degree bound", False, str(exc)))
     if e is not None:
-        for u in range(min(4, t.size + 1) + 1):
+        dilates = range(min(4, t.size + 1) + 1)
+        for u, count in zip(dilates, oracle.dilate_counts(t, dilates)):
             out.append(_outcome(text, f"ehrhart count u={u}",
-                                e.subs({"u": u}).constant_value(),
-                                oracle.count_points(t, u)))
+                                e.subs({"u": u}).constant_value(), count))
         out.append(_outcome(text, "volume vs ehrhart leading", volume,
                             e.coefficient("u", t.size).constant_value()))
         size_identities.append(("ehrhart at u=1", e.subs({"u": 1}).constant_value()))

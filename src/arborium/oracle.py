@@ -5,8 +5,11 @@ the defining inequalities, which both the counter and the enumerator read.
 It fixes one coordinate per step for a whole block of prefixes at once, in
 int64 numpy arrays, depth-first over blocks of at most _BLOCK rows, so the
 counter's memory is bounded by the block size, not by the number of
-points; nothing here recurses, so deep arbors need no stack.  Points have
-one format: the walk's rows, one int64 array in lex order.
+points; nothing here recurses, so deep arbors need no stack.  The walk
+starts from one root row per dilate, so dilate_counts counts every dilate
+a check needs in one walk, paying the walk's fixed numpy cost per
+coordinate once rather than once per dilate.  Points have one format: the
+walk's rows, one int64 array in lex order.
 
 The points of the u=1 dilate are down-closed in N^n, so the zeta transform
 of their poset is n one-axis prefix sums, and its inverse undoes them
@@ -40,43 +43,52 @@ def _children(rows, lo, taken):
     return rows.repeat(taken, axis=0), vals
 
 
-def _prefix_blocks(t: Arbor, u: int):
-    """Yield (prefixes, caps) for the feasible choices of the first n-1
-    coordinates of a point of the u-th dilate, in lexicographic order, in
-    blocks of at most _BLOCK rows.
+def _prefix_blocks(t: Arbor, dilates):
+    """Yield (prefixes, index, caps) for the feasible choices of the first
+    n-1 coordinates of a point of the u-th dilate, for every u = dilates[i]
+    at once, in lexicographic order of (i, prefix), in blocks of at most
+    _BLOCK rows (when n = 1, the one block is the root block below).
 
-    The points with prefix row i are prefix + (v,) for v = 0..caps[i].  A
-    row holds each constraint's remaining budget, then the coordinates
-    chosen so far; a coordinate's cap is the least budget among the
-    constraints it enters.  A step pops the top block of prefixes of one
-    length and expands at most _BLOCK children from its lex-first rows,
-    pushing back the rest under the children (the first row left may keep
-    only the upper part of its range, from its start value lo), so the walk
-    runs depth-first in lex order over at most n + 1 blocks at a time.
-    Budgets, caps and block sums are int64: u * n must stay below
-    2^62 / _BLOCK (2^50), else ValueError.
+    The points with prefix row r are prefix + (v,) for v = 0..caps[r], in
+    the dilate dilates[index[r]].  A row holds each constraint's remaining
+    budget, then the coordinates chosen so far, then the index i of its
+    dilate; the walk starts from the root block, one row per dilate with
+    budgets u * b_c, and a child copies its parent's index with the rest of
+    the row.  A coordinate's cap is the least budget among the constraints
+    it enters.  A step pops the top block of prefixes of one length and
+    expands at most _BLOCK children from its lex-first rows, pushing back
+    the rest under the children (the first row left may keep only the upper
+    part of its range, from its start value lo), so the walk runs
+    depth-first in lex order over at most n + 1 blocks at a time, whatever
+    the number of dilates.  Budgets, caps and block sums are int64:
+    max(dilates) * n must stay below 2^62 / _BLOCK (2^50), else ValueError;
+    a negative dilate is a ValueError too.
     """
-    if u < 0:
+    if any(u < 0 for u in dilates):
         raise ValueError("dilation factor must be >= 0")
     n = t.size
-    if u * n >= 2 ** 62 // _BLOCK:
-        raise ValueError(f"u * n = {u * n} exceeds the int64 bound 2^62 / {_BLOCK} "
+    top = max(dilates, default=0)
+    if top * n >= 2 ** 62 // _BLOCK:
+        raise ValueError(f"u * n = {top * n} exceeds the int64 bound 2^62 / {_BLOCK} "
                          "of the lattice walk")
+    if not dilates:
+        return
     cons = constraints(t)
     m = len(cons)
     cols = [[] for _ in range(n)]  # the constraints that coordinate j enters
     for ci, c in enumerate(cons):
         for lab in c.support:
             cols[lab - 1].append(ci)
-    root = np.zeros((1, m + n), dtype=np.int64)
-    root[0, :m] = [u * c.bound for c in cons]
+    roots = np.zeros((len(dilates), m + n), dtype=np.int64)
+    roots[:, :m] = np.outer(dilates, [c.bound for c in cons])
+    roots[:, -1] = np.arange(len(dilates))
     last = n - 1
-    stack = [(0, root, 0)]
+    stack = [(0, roots, 0)]
     while stack:
         j, rows, lo = stack.pop()
         caps = rows[:, cols[j]].min(axis=1)
         if j == last:
-            yield rows[:, m:m + last], caps
+            yield rows[:, m:-1], rows[:, -1], caps
             continue
         taken = caps + 1 - lo
         ends = taken.cumsum()
@@ -95,14 +107,29 @@ def enumerate_points(t: Arbor, u: int):
 
     ValueError if u < 0 or u * n reaches 2^62 / _BLOCK."""
     return np.concatenate([np.column_stack(_children(prefixes, 0, caps + 1))
-                           for prefixes, caps in _prefix_blocks(t, u)])
+                           for prefixes, _, caps in _prefix_blocks(t, (u,))])
+
+
+def dilate_counts(t: Arbor, dilates) -> list:
+    """[|u-th dilate ∩ Z^n| for u in dilates] as Python ints, from one walk
+    over every dilate of the sequence, without materializing the points.
+
+    A block's sum per dilate is int64 (below 2^62, by the walk's bound);
+    the totals add them up as Python ints.  ValueError if a dilate is
+    negative or max(dilates) * n reaches 2^62 / _BLOCK."""
+    totals = [0] * len(dilates)
+    for _, index, caps in _prefix_blocks(t, dilates):
+        sums = np.zeros(len(totals), dtype=np.int64)
+        np.add.at(sums, index, caps + 1)
+        totals = [a + b for a, b in zip(totals, sums.tolist())]
+    return totals
 
 
 def count_points(t: Arbor, u: int) -> int:
-    """|u-th dilate ∩ Z^n| as a Python int, without materializing the points.
+    """|u-th dilate ∩ Z^n| as a Python int: dilate_counts of the one dilate.
 
     ValueError if u < 0 or u * n reaches 2^62 / _BLOCK."""
-    return sum(int(caps.sum()) + len(caps) for _, caps in _prefix_blocks(t, u))
+    return dilate_counts(t, (u,))[0]
 
 
 class Poset:

@@ -1,14 +1,33 @@
-"""Reference forms that only the tests use: the generators, the list fold
-of K, and closed forms of the fan family t_n."""
+"""Reference forms that only the tests use: the generators, the integer
+binomial, the list fold of K, and closed forms of the fan family t_n."""
 
 from functools import reduce
+from math import factorial
 
-from arborium.algebra import VARIABLES, MultiPoly, binom_poly, int_binom, series_mul
+from arborium.algebra import VARIABLES, MultiPoly, binom_poly, series_mul
 
 
 def gens() -> tuple:
     """The six generators (u, X, Y, E, V, s), in canonical order."""
     return tuple(MultiPoly.variable(name) for name in VARIABLES)
+
+
+def int_binom(a: int, b: int) -> int:
+    """Integer binomial via falling factorials.
+
+    Conventions: 0 for b < 0, and 1 for b = 0 even when a is negative
+    (so int_binom(-1, 0) = 1); negative a follows the falling factorial.
+    """
+    if b < 0:
+        return 0
+    if b == 0:
+        return 1
+    num = 1
+    for i in range(b):
+        num *= a - i
+    q, r = divmod(num, factorial(b))
+    assert r == 0
+    return q
 
 
 _U = MultiPoly.variable("u")

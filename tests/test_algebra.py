@@ -16,7 +16,6 @@ from arborium.algebra import (
     MultiPoly,
     _pack,
     binom_poly,
-    int_binom,
     lagrange_interpolate,
     laplace_laurent,
     poly_counts,
@@ -27,7 +26,7 @@ from arborium.algebra import (
     series_pow_symbolic,
 )
 from arborium.invariants import m_from_k
-from fan_forms import gens
+from fan_forms import gens, int_binom
 
 u, X, Y, E, V, s = gens()
 

@@ -14,7 +14,7 @@ from arborium import invariants, oracle, verify
 from arborium.algebra import poly_to_terms
 from arborium.arbor import ArborError, make_tn, parse_arbor
 from arborium.cli import MAX_COMPUTE_SIZE, MAX_ORDER, MAX_PER_SIZE, MAX_TN, build_parser, main
-from arborium.crosscheck import cross_check
+from arborium.crosscheck import PointLimitError, cross_check
 from arborium.invariants import ehrhart, laplace, m_triangle
 from fan_forms import gens
 
@@ -235,6 +235,57 @@ def test_oracle_check_runs_past_the_dense_limit(capsys):
     assert len(checks) == 9 and all(c["passed"] for c in checks)
 
 
+def test_oracle_check_reads_the_point_limit_once(capsys, monkeypatch):
+    # the u = 1 fold runs once for the point limit, inside cross_check, and
+    # once among the Ehrhart samples u = 0..n+1; over the limit, only once
+    heights, calls = invariants.ehrhart_heights, []
+
+    def counted(t, u):
+        calls.append(u)
+        return heights(t, u)
+
+    monkeypatch.setattr(invariants, "ehrhart_heights", counted)
+    code, out, err = run(capsys, "oracle-check", "--arbor", "{1,2}({3},{4})")
+    assert (code, err) == (0, "") and out.startswith("pass")
+    assert calls.count(1) == 2
+    calls.clear()
+    code, out, err = run(capsys, "oracle-check", "--arbor", tn_text(14))
+    assert (code, out) == (2, "")
+    assert err == "error: arbor has 69632 points; oracle checks stop at 32768\n"
+    assert calls == [1]
+    with pytest.raises(PointLimitError):
+        cross_check(make_tn(14))
+
+
+def test_oracle_check_counts_every_dilate_in_one_walk(capsys, monkeypatch):
+    calls = {"dilate_counts": 0, "count_points": 0}
+    for name in calls:
+        def counted(*args, fn=getattr(oracle, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(oracle, name, counted)
+    code, out, _ = run(capsys, "oracle-check", "--arbor", "{1,2}({3},{4})", "--format", "json")
+    assert code == 0
+    assert [c["check"] for c in json.loads(out) if c["check"].startswith("ehrhart count")] == [
+        f"ehrhart count u={dil}" for dil in range(5)]
+    assert calls == {"dilate_counts": 1, "count_points": 0}
+
+
+def test_m_from_k_defect_is_a_failed_check(capsys, monkeypatch):
+    # a K term X^2 Y has height below its support, so m_from_k raises
+    # ExactDivisionError: the M check fails with it (exit 1), and "m at X=1",
+    # which needs M, is left out
+    k_poly = invariants.k_poly
+    monkeypatch.setattr(invariants, "k_poly", lambda t: k_poly(t) + X ** 2 * Y)
+    code, out, err = run(capsys, "oracle-check", "--arbor", "{1}({2})")
+    assert code == 1
+    assert "error" not in err and "Traceback" not in err
+    assert "m vs moebius oracle: K term 1*X^2*Y^1 has height below its support" in out
+    names = [o.name for o in cross_check(parse_arbor("{1}({2})"))]
+    assert "m vs moebius oracle" in names and "m at X=1" not in names
+
+
 @pytest.mark.parametrize("text", [
     DEEP_PATH,
     "{" + ",".join(str(i) for i in range(1, 17)) + "}",
@@ -318,6 +369,18 @@ def test_an_arbor_error_during_work_is_not_a_usage_error(capsys, monkeypatch):
     monkeypatch.setattr(verify, "make_tn", broken)
     with pytest.raises(ArborError, match="requires"):
         main(["verify", "--theorem", "zeta", "--order", "2"])
+    assert capsys.readouterr().err == ""
+
+
+def test_only_the_point_limit_is_a_usage_error_of_cross_check(capsys, monkeypatch):
+    # oracle-check turns a PointLimitError from cross_check into exit 2; any
+    # other ArborError raised while the checks run is a defect
+    def broken(t):
+        raise ArborError("planted")
+
+    monkeypatch.setattr(invariants, "k_poly", broken)
+    with pytest.raises(ArborError, match="planted"):
+        main(["oracle-check", "--arbor", "{1}({2})"])
     assert capsys.readouterr().err == ""
 
 

@@ -27,7 +27,8 @@ from arborium.invariants import (
 )
 from arborium import oracle
 from fan_forms import (
-    ehrhart_tn_alternating, gens, k_poly_by_lists, k_tn_closed, m_tn_closed, zeta_tn_closed)
+    ehrhart_tn_alternating, gens, int_binom, k_poly_by_lists, k_tn_closed, m_tn_closed,
+    zeta_tn_closed)
 
 u, X, Y, E, V, s = gens()
 
@@ -73,7 +74,6 @@ def test_k_poly_small():
 
 
 def test_k_single_vertex_base_case():
-    from arborium.algebra import int_binom
     for r in (1, 2, 3):
         t = Arbor(0, {0: set(range(1, r + 1))}, {0: []})
         expected = MultiPoly.zero()

@@ -17,6 +17,7 @@ from arborium.oracle import (
     Poset,
     build_poset,
     count_points,
+    dilate_counts,
     enumerate_points,
     height_distribution_oracle,
     k_oracle,
@@ -71,6 +72,7 @@ def test_count_and_enumerate_have_no_depth_limit():
     n = 1500
     path = Arbor(0, {i: {i + 1} for i in range(n)}, {i: [i + 1] for i in range(n - 1)})
     assert count_points(path, 0) == 1
+    assert dilate_counts(path, (0, 0)) == [1, 1]
     assert enumerate_points(path, 0).tolist() == [[0] * n]
 
 
@@ -99,6 +101,20 @@ def test_walk_matches_the_filtered_box(size, seed, dil):
     assert type(count) is int and count == len(expected)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2 ** 32), st.lists(st.integers(0, 3), max_size=6))
+@example(1, 0, [2, 0, 2, 1])  # n = 1: the root block is the only block
+@example(5, 0, [3, 0, 1, 3])  # unsorted and repeated, over two blocks
+@example(3, 0, [])
+def test_dilate_counts_match_the_filtered_box(size, seed, dilates):
+    # one walk over all the dilates, in the order given, repeats included
+    t = random_arbor(size, random.Random(seed))
+    expected = {dil: len(_filtered_box(t, dil)) for dil in set(dilates)}
+    counts = dilate_counts(t, dilates)
+    assert counts == [expected[dil] for dil in dilates]
+    assert all(type(c) is int for c in counts)
+
+
 @pytest.mark.parametrize("block", [1, 2, 3])
 def test_walk_blocks_keep_the_points_and_their_order(monkeypatch, block):
     # blocks of 1-3 rows split every expansion, most of them inside one
@@ -107,24 +123,43 @@ def test_walk_blocks_keep_the_points_and_their_order(monkeypatch, block):
              for dil in range(3)]
     cases += [(make_tn(2), 7), (parse_arbor(FIGURE), 1)]
     expected = [(enumerate_points(t, dil).tolist(), count_points(t, dil)) for t, dil in cases]
+    mixes = [(t, (2, 0, 1, 2, 0)) for t in random_corpus(7, sizes=range(1, 5), per_size=2)]
+    mixes.append((parse_arbor(FIGURE), (1, 0, 1)))
+    expected_mixes = [dilate_counts(t, dils) for t, dils in mixes]
     monkeypatch.setattr(oracle, "_BLOCK", block)
     for (t, dil), (points, count) in zip(cases, expected):
         got = list(map(tuple, enumerate_points(t, dil).tolist()))
         assert got == list(map(tuple, points)) and got == sorted(set(got)), (t, dil)
         assert count_points(t, dil) == count == len(points), (t, dil)
+    # the counter reads blocks whose rows belong to different dilates
+    walk, mixed = oracle._prefix_blocks, []
+
+    def recorded(t, dilates):
+        for prefixes, index, caps in walk(t, dilates):
+            mixed.append(len(set(index.tolist())) > 1)
+            yield prefixes, index, caps
+
+    monkeypatch.setattr(oracle, "_prefix_blocks", recorded)
+    for (t, dils), counts in zip(mixes, expected_mixes):
+        assert dilate_counts(t, dils) == counts, (t, dils)
+    assert any(mixed)
 
 
 def test_count_points_memory_is_bounded_by_the_block():
-    # 14.7 million points; the walk holds at most n + 1 blocks of prefixes
+    # 14.7 million points at u = 4; the walk holds at most n + 1 blocks of
+    # prefixes, however many dilates it counts
     t = parse_arbor(FIGURE)
-    tracemalloc.start()
-    try:
-        count = count_points(t, 4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert count == 14681700
-    assert peak < 32 * 2 ** 20, peak
+    for count, expected in ((lambda: count_points(t, 4), 14681700),
+                            (lambda: dilate_counts(t, range(5)),
+                             [1, 3464, 161145, 2109744, 14681700])):
+        tracemalloc.start()
+        try:
+            got = count()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == expected
+        assert peak < 32 * 2 ** 20, peak
 
 
 def test_count_points_refuses_an_int64_overflow():
@@ -136,6 +171,14 @@ def test_count_points_refuses_an_int64_overflow():
             count_points(t, dil)
         with pytest.raises(ValueError):
             enumerate_points(t, dil)
+    # one walk over several dilates is bounded by its largest one
+    assert dilate_counts(make_tn(1), (bound - 1, 0, 1)) == [bound, 1, 2]
+    for t, dils in ((make_tn(1), (0, bound)), (make_tn(1), (bound, 0)),
+                    (make_tn(1), (1, 2 ** 62, 1)), (make_tn(2), (2, bound // 2))):
+        with pytest.raises(ValueError, match="int64 bound"):
+            dilate_counts(t, dils)
+    with pytest.raises(ValueError, match=">= 0"):
+        dilate_counts(make_tn(2), (1, -1, 2))
 
 
 def _leq(P):

@@ -14,10 +14,10 @@ from math import comb
 import pytest
 
 from arborium import invariants
-from arborium.algebra import Kronecker, binom_poly, int_binom, poly_counts, poly_from_counts
+from arborium.algebra import Kronecker, binom_poly, poly_counts, poly_from_counts
 from arborium.arbor import parse_arbor
 from arborium.crosscheck import corpus_check, cross_check
-from fan_forms import gens
+from fan_forms import gens, int_binom
 
 u, X, Y, E, V, s = gens()
 
@@ -58,6 +58,11 @@ def m_from_k_sign_flip(k):
     return poly_from_counts(terms, "X", "Y")
 
 
+def k_poly_with_an_x2y_term(t, k_poly=invariants.k_poly):
+    # X^2 Y: two nonzero coordinates at height 1, which m_from_k cannot map
+    return k_poly(t) + X ** 2 * Y
+
+
 def volume_doubled(t, volume=invariants.volume):
     # twice the v^0 Laurent coefficient of the Laplace transform
     return 2 * volume(t)
@@ -69,6 +74,7 @@ PLANTED = [
     ("_k_step", k_step_without_the_support_binomial, "k vs point census"),
     ("Kronecker", kronecker_one_byte_fields, "k vs point census"),
     ("m_from_k", m_from_k_sign_flip, "m vs moebius oracle"),
+    ("k_poly", k_poly_with_an_x2y_term, "m vs moebius oracle"),
     ("volume", volume_doubled, "volume vs ehrhart leading"),
 ]
 
