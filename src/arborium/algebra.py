@@ -1,12 +1,14 @@
 """Exact arithmetic kernel.
 
 Sparse multivariate polynomials over the rationals in the fixed variable
-set (u, X, Y, E, V, s), truncated power series in s as plain coefficient
-lists with one truncated product (series_mul), Laurent expansions in v as
-{degree: coefficient} dicts (v is only a key there, not a variable),
+set (u, X, Y, E, V, s), with products and division by a nonzero constant;
+truncated power series in s as plain coefficient lists with one truncated
+product (series_mul) and the expansion of a quotient whose denominator has
+a nonzero constant s^0 coefficient; Laurent expansions in v as {degree:
+coefficient} dicts (v is only a key there, not a variable);
 symbolic-exponent binomials and the power ((1 + alpha*s)/(1 - beta*s))^u
-given by alpha and beta, and exact interpolation at consecutive integers.
-No floating point anywhere; equality is literal.
+given by alpha and beta; and exact interpolation in u at consecutive
+integers.  No floating point anywhere; equality is literal.
 
 A MultiPoly packs each monomial into one int key: the total degree in the
 top field, then one _FIELD_BITS-wide field per variable in VARIABLES
@@ -52,7 +54,7 @@ _KEY_LIMIT = DEGREE_LIMIT << _DEG_SHIFT  # smallest key of total degree DEGREE_L
 
 
 class ExactDivisionError(ArithmeticError):
-    """Division left a remainder, or a result would need a negative exponent."""
+    """A result would need a negative exponent (invariants.m_from_k raises it)."""
 
 
 class InterpolationError(ValueError):
@@ -171,13 +173,6 @@ class MultiPoly:
 
     # -- ring operations --------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, MultiPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return MultiPoly.const(other)
-        return None
-
     def _scale(self, num: int, den: int) -> "MultiPoly":
         """self * num/den for a reduced fraction with den > 0."""
         nums = self._nums
@@ -291,8 +286,9 @@ class MultiPoly:
         return result
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, (int, Fraction)):
+            other = MultiPoly.const(other)
+        elif not isinstance(other, MultiPoly):
             return NotImplemented
         return self._den == other._den and self._nums == other._nums
 
@@ -339,50 +335,22 @@ class MultiPoly:
             return Fraction(self._nums[0], self._den)
         raise ValueError(f"polynomial is not constant: {self}")
 
-    # -- division and substitution ----------------------------------------
+    # -- division by a constant and substitution ---------------------------
 
     def exact_div(self, divisor) -> "MultiPoly":
-        """Exact quotient self / divisor; raises ExactDivisionError on remainder.
+        """Quotient self / divisor, for a divisor that is an int, a Fraction or
+        a constant MultiPoly.
 
-        Long division on the integer numerators: the remainder is rem / scale,
-        and each step multiplies it through by what the divisor's leading
-        coefficient leaves after cancelling with the remainder's.
+        Raises TypeError for any other value, ValueError for a polynomial
+        that is not constant and ZeroDivisionError for zero.
         """
-        divisor = self._coerce(divisor)
-        if divisor is None or divisor.is_zero():
+        d = divisor if isinstance(divisor, MultiPoly) else MultiPoly.const(divisor)
+        if d._nums.keys() - {0}:
+            raise ValueError(f"divisor ({divisor}) is not a constant")
+        if not d._nums:
             raise ZeroDivisionError("polynomial division by zero")
-        b = divisor._nums
-        if len(b) == 1 and 0 in b:  # a constant: scale by its inverse
-            num = b[0]
-            return self._scale(divisor._den * (-1 if num < 0 else 1), abs(num))
-        d_key = max(b)
-        lead = b[d_key]
-        d_exps = _unpack(d_key)
-        rem = dict(self._nums)
-        scale = 1
-        quotient: dict = {}
-        while rem:
-            r_key = max(rem)
-            r_coeff = rem[r_key]
-            if any(r < d for r, d in zip(_unpack(r_key), d_exps)):
-                raise ExactDivisionError(f"({self}) is not divisible by ({divisor})")
-            q_key = r_key - d_key
-            g = gcd(r_coeff, lead)
-            mult, q_num = lead // g, r_coeff // g
-            quotient[q_key] = Fraction(q_num, mult * scale)
-            if mult != 1:
-                rem = {k: c * mult for k, c in rem.items()}
-                scale *= mult
-            get = rem.get
-            for k, c in b.items():
-                k += q_key
-                c = get(k, 0) - q_num * c
-                if c:
-                    rem[k] = c
-                else:
-                    del rem[k]
-        q = _from_fractions(quotient)
-        return q._scale(divisor._den, 1)._scale(1, self._den) if q._nums else q
+        num = d._nums[0]
+        return self._scale(d._den * (-1 if num < 0 else 1), abs(num))
 
     def subs(self, mapping) -> "MultiPoly":
         """Simultaneous substitution of variables by exact rationals.
@@ -599,8 +567,9 @@ def series_expand_rational(num: MultiPoly, den: MultiPoly, order: int) -> list:
     """Coefficient list [c_0, ..., c_order] of num/den as a power series in s,
     via the convolution recurrence.
 
-    The denominator's s-constant term must be nonzero; each coefficient is
-    obtained by an exact division, so non-polynomial quotients fail loudly.
+    The denominator's s-constant term must be a nonzero constant, so each
+    coefficient is a polynomial divided by that constant; a zero s-constant
+    term raises ValueError, and so does one that is not constant.
     """
     num_c = num.coeffs_in("s")
     den_c = den.coeffs_in("s")
@@ -679,12 +648,12 @@ def _numerators(y) -> tuple:
     return ({0: y.numerator} if y else {}), y.denominator
 
 
-def lagrange_interpolate(samples, degree: int | None = None, var: str = "u") -> MultiPoly:
-    """Interpolating polynomial in var through (x, y) samples at consecutive
+def lagrange_interpolate(samples, degree: int | None = None) -> MultiPoly:
+    """Interpolating polynomial in u through (x, y) samples at consecutive
     integers x_0, x_0 + 1, ...
 
-    Newton's forward differences: p = sum_k D^k y_0 * C(var - x_0, k).  The
-    values y are exact rationals or polynomials free of var.  With an
+    Newton's forward differences: p = sum_k D^k y_0 * C(u - x_0, k).  The
+    values y are exact rationals or polynomials free of u.  With an
     explicit degree bound, every difference above the bound must vanish; a
     nonzero one raises InterpolationError (it signals a degree-bound bug in
     the caller, not bad luck).
@@ -692,8 +661,8 @@ def lagrange_interpolate(samples, degree: int | None = None, var: str = "u") -> 
     Everything runs on integer numerators over one denominator.  The samples
     go over D, the lcm of their denominators, and each monomial's column of
     numerators is differenced on its own; the first nonzero difference above
-    the bound, over all monomials, names the sample.  C(var - x_0, k) is
-    f_k/k!, with f_k = (var - x_0)...(var - x_0 - k + 1) a polynomial with
+    the bound, over all monomials, names the sample.  C(u - x_0, k) is
+    f_k/k!, with f_k = (u - x_0)...(u - x_0 - k + 1) a polynomial with
     integer coefficients, so p is the integer sum of
     D^k y_0 * (degree!/k!) * f_k over D * degree!.
     """
@@ -709,9 +678,9 @@ def lagrange_interpolate(samples, degree: int | None = None, var: str = "u") -> 
     if len(xs) < degree + 1:
         raise ValueError("need at least degree+1 samples")
     rows = [_numerators(y) for _, y in samples]
-    shift = _SHIFTS[_VAR_INDEX[var]]
+    shift = _SHIFTS[_VAR_INDEX["u"]]
     if any((key >> shift) & _MASK for nums, _ in rows for key in nums):
-        raise ValueError(f"sample values must be free of {var}")
+        raise ValueError("sample values must be free of u")
     if degree >= DEGREE_LIMIT:
         raise OverflowError(f"product degree reaches the limit {DEGREE_LIMIT}")
 
@@ -729,19 +698,19 @@ def lagrange_interpolate(samples, degree: int | None = None, var: str = "u") -> 
         for _ in range(degree + 1):
             diffs.append(ys[0])
             ys = [b - a for a, b in zip(ys, ys[1:])]
-        if any(diffs[DEGREE_LIMIT - (key >> _DEG_SHIFT):]):  # key * var^k for such k overflows
+        if any(diffs[DEGREE_LIMIT - (key >> _DEG_SHIFT):]):  # key * u^k for such k overflows
             raise OverflowError(f"product degree reaches the limit {DEGREE_LIMIT}")
         bad = next((i for i, d in enumerate(ys[:bad]) if d), bad)
         newton.append((key, diffs))
     if bad < len(rows):
-        raise InterpolationError(f"sample at {var}={xs[degree + 1 + bad]} "
+        raise InterpolationError(f"sample at u={xs[degree + 1 + bad]} "
                                  f"is inconsistent with degree bound {degree}")
 
     weights = [1] * (degree + 1)  # weights[k] = degree!/k!
     for k in range(degree, 0, -1):
         weights[k - 1] = weights[k] * k
     unit = (1 << _DEG_SHIFT) | (1 << shift)
-    falling = [1]  # coefficients of f_k in var, lowest first
+    falling = [1]  # coefficients of f_k in u, lowest first
     basis = []  # per k: (key offset, coefficient) of the nonzero terms of (degree!/k!) * f_k
     for k, w in enumerate(weights):
         if k:

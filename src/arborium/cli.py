@@ -25,7 +25,7 @@ import os
 import sys
 
 from .algebra import MultiPoly, poly_to_terms
-from .arbor import ArborError, make_tn, parse_arbor, serialize_arbor
+from .arbor import CORPUS_SIZES, ArborError, make_tn, parse_arbor, serialize_arbor
 from .invariants import INVARIANT_NAMES, compute_invariants
 from .verify import DEFAULT_ORDER, THEOREMS, VERIFIERS
 
@@ -38,6 +38,8 @@ MAX_COMPUTE_SIZE = 30   # compute --tn / --arbor size: every invariant, 1.0 s at
 MAX_TN = 800_000        # tn N: 3.5-3.7 s and 577 MB peak RSS; building t_N takes
                         # 2.6-3.5 s of it (validating 1.3-2.1 s), writing its text 0.8-1.3 s
 MAX_PER_SIZE = 40       # oracle-check --per-size: 1.2-1.4 s on the default seed
+
+_SIZES = f"{CORPUS_SIZES[0]}..{CORPUS_SIZES[-1]}"  # the default corpus sizes, as text
 
 
 class UsageError(Exception):
@@ -99,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--seed", type=int, default=20260809,
                           help="corpus seed (default 20260809)")
     p_oracle.add_argument("--per-size", type=int, default=4,
-                          help="corpus arbors per size 1..6 (default 4)")
+                          help=f"corpus arbors per size {_SIZES} (default 4)")
     p_oracle.add_argument("--format", choices=("text", "json"), default="text")
 
     p_tn = sub.add_parser("tn", help="print the canonical text of t_N")
@@ -190,7 +192,7 @@ def cmd_oracle_check(args) -> int:
             raise UsageError(str(exc)) from None
     else:
         # In JSON mode the header goes to stderr, so stdout stays one JSON document.
-        print(f"corpus: seed={args.seed} per_size={args.per_size} sizes 1..6",
+        print(f"corpus: seed={args.seed} per_size={args.per_size} sizes {_SIZES}",
               file=sys.stderr if args.format == "json" else sys.stdout)
         outcomes = corpus_check(args.seed, per_size=args.per_size)
     if args.format == "json":

@@ -137,7 +137,7 @@ def cross_check(t: Arbor) -> list:
 
 
 def corpus_check(seed: int, per_size: int = 4) -> list:
-    """Cross checks over the deterministic random corpus of sizes 1..6."""
+    """Cross checks over the deterministic random corpus of CORPUS_SIZES."""
     out = []
     for t in random_corpus(seed, per_size=per_size):
         out.extend(cross_check(t))

@@ -2,16 +2,15 @@
 
 Every recursion is one bottom-up Arbor.fold with one rule per vertex: own
 factor times children, cut at height n.  The own factor weighs the vertex's r
-own coordinates, the children's results are multiplied in, and the vertex's
-inequality (coordinates of the sub-tree sum to at most its size n) cuts the
-result.  zeta_poly keeps polynomials in u and X by height, multiplied by
-the step _cut_product.  k_poly keeps non-negative int counts of X^l Y^h, so
-each list is one Kronecker-packed int (see algebra.Kronecker): a child's
-product is one int product and the cut is one mask.  ehrhart_heights keeps
-counts by height and applies its own factor 1/(1-x)^r as r prefix sums;
-laplace's own factor is V^r, cut by truncate_laplace, which also adds
-boundary corrections.  m_triangle, ehrhart and volume are read off k_poly,
-ehrhart_heights and laplace:
+own coordinates, the children's results are multiplied in by one reduce, and
+the vertex's inequality (coordinates of the sub-tree sum to at most its size
+n) cuts the result.  _zeta_step keeps polynomials in u by height, cut by
+series_mul; _k_step keeps int counts of X^l Y^h as one Kronecker-packed int
+(see algebra.Kronecker), so a product is one int product and the cut one
+mask; ehrhart_heights keeps counts by height and applies its own factor
+1/(1-x)^r as r prefix sums; _laplace_step's own factor is V^r, cut by
+truncate_laplace, which also adds boundary corrections.  m_triangle, ehrhart
+and volume are read off k_poly, ehrhart_heights and laplace:
 
 * zeta_poly       height-weighted zeta polynomial Z(u, X)
 * k_poly          nonzero-coordinate/height census K(X, Y)
@@ -53,35 +52,23 @@ _E = MultiPoly.variable("E")
 _V = MultiPoly.variable("V")
 
 
-# -- the height-graded fold step -----------------------------------------------
-
-def _cut_product(own, kids) -> list:
-    """Fold step of zeta_poly.
-
-    Every list is a series in the height, [c_0, ..., c_cap].  own[h] weighs
-    the vertex's own coordinates summing to h; each child's list is
-    multiplied in by series_mul, which cuts every height above
-    cap = len(own) - 1, the vertex's inequality.
-    """
-    cap = len(own) - 1
-    return reduce(lambda g, kid: series_mul(g, kid, cap), kids, own)
-
-
 # -- zeta ---------------------------------------------------------------------
 
 def zeta_poly(t: Arbor) -> MultiPoly:
     """Height-weighted zeta polynomial Z(u, X) of the point poset.
 
     Own factor times children, cut at height n: r own coordinates reach
-    height h in binom_poly(r(u-1)+h-1, h) weighted ways; the root's list
-    c_h gives Z = sum of c_h X^h.
+    height h in binom_poly(r(u-1)+h-1, h) weighted ways, and each child's
+    list of polynomials by height is multiplied in by series_mul, cut at n;
+    the root's list c_h gives Z = sum of c_h X^h.
     """
     return sum((c * _X ** h for h, c in enumerate(t.fold(_zeta_step))), MultiPoly.zero())
 
 
 def _zeta_step(labels, n, kids) -> list:
     base = len(labels) * (_U - 1) - 1
-    return _cut_product([binom_poly(base + h, h) for h in range(n + 1)], kids)
+    own = [binom_poly(base + h, h) for h in range(n + 1)]
+    return reduce(lambda g, kid: series_mul(g, kid, n), kids, own)
 
 
 # -- K polynomial and M-triangle -------------------------------------------------
@@ -185,7 +172,7 @@ def ehrhart(t: Arbor) -> MultiPoly:
     """
     n = t.size
     samples = [(u, sum(ehrhart_heights(t, u))) for u in range(n + 2)]
-    return lagrange_interpolate(samples, degree=n, var="u")
+    return lagrange_interpolate(samples, degree=n)
 
 
 def ehrhart_tn_closed(n: int) -> MultiPoly:

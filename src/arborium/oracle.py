@@ -226,7 +226,7 @@ def zeta_oracle(P: Poset) -> MultiPoly:
     n = int(P.heights.max())
     samples = [(m, poly_from_counts(counts, "X"))
                for m, counts in multichain_weight_counts(P, n + 3).items()]
-    return lagrange_interpolate(samples, degree=n, var="u")
+    return lagrange_interpolate(samples, degree=n)
 
 
 # -- Moebius function ----------------------------------------------------------
@@ -283,8 +283,3 @@ def k_oracle(P: Poset) -> MultiPoly:
     """Sum of X^(nonzero coordinates) * Y^(coordinate sum) over the point poset."""
     counts = Counter(zip(np.count_nonzero(P.points, axis=1).tolist(), P.heights.tolist()))
     return poly_from_counts(counts, "X", "Y")
-
-
-def height_distribution_oracle(t: Arbor, m: int) -> MultiPoly:
-    """Points of the m-th dilate weighted by X^height; ValueError if m < 0."""
-    return poly_from_counts(Counter(enumerate_points(t, m).sum(axis=1).tolist()), "X")

@@ -1,10 +1,13 @@
 """Reference forms that only the tests use: the generators, the integer
-binomial, the list fold of K, and closed forms of the fan family t_n."""
+binomial, the list fold of K, the height census of a dilate by enumeration,
+and closed forms of the fan family t_n."""
 
+from collections import Counter
 from functools import reduce
 from math import factorial
 
-from arborium.algebra import VARIABLES, MultiPoly, binom_poly, series_mul
+from arborium.algebra import VARIABLES, MultiPoly, binom_poly, poly_from_counts, series_mul
+from arborium.oracle import enumerate_points
 
 
 def gens() -> tuple:
@@ -52,6 +55,12 @@ def k_poly_by_lists(t) -> MultiPoly:
     return sum((c * _Y ** h for h, c in enumerate(t.fold(step))), MultiPoly.zero())
 
 
+def height_distribution_oracle(t, m: int) -> MultiPoly:
+    """Points of the m-th dilate weighted by X^height, by enumerating them;
+    ValueError if m < 0."""
+    return poly_from_counts(Counter(enumerate_points(t, m).sum(axis=1).tolist()), "X")
+
+
 def zeta_tn_closed(n: int) -> MultiPoly:
     """Closed form of Z(u, 1) for the fan arbor t_n."""
     if n < 1:
@@ -64,28 +73,36 @@ def zeta_tn_closed(n: int) -> MultiPoly:
     return acc
 
 
+def _difference_quotient(a: MultiPoly, b: MultiPoly, m: int) -> MultiPoly:
+    """(a^m - b^m)/(a - b) as the sum of a^i b^(m-1-i) for i < m; 0 for m = 0."""
+    return sum((a ** i * b ** (m - 1 - i) for i in range(m)), MultiPoly.zero())
+
+
 def k_tn_closed(n: int) -> MultiPoly:
-    """Closed form of K(X, Y) for the fan arbor t_n; the division by 1 - Y
-    must be exact."""
+    """Closed form of K(X, Y) for the fan arbor t_n.
+
+    With a = 1 + XY and b = Y(1 + X), so a - b = 1 - Y, K is a^n plus
+    XY^2 (a^(n-1) - b^(n-1)) / (1 - Y), summed as a difference quotient.
+    """
     if n < 1:
         raise ValueError("n >= 1 required")
-    bracket = _X * _Y ** 2 * ((1 + _X * _Y) ** (n - 1) - (_Y * (1 + _X)) ** (n - 1))
-    return (1 + _X * _Y) ** n + bracket.exact_div(1 - _Y)
+    a = 1 + _X * _Y
+    b = _Y * (1 + _X)
+    return a ** n + _X * _Y ** 2 * _difference_quotient(a, b, n - 1)
 
 
 def m_tn_closed(n: int) -> MultiPoly:
     """Closed form of the M-triangle for t_n.
 
-    With A = 1 + XY - Y and B = 2XY - Y, the result is A^n plus
-    (X^2 Y^2 - X Y^2)(A^(n-1) - B^(n-1)) / (1 - XY); combining the two
-    fraction terms first keeps everything polynomial.
+    With a = 1 + XY - Y and b = 2XY - Y, so a - b = 1 - XY, M is a^n plus
+    (X^2 Y^2 - X Y^2)(a^(n-1) - b^(n-1)) / (1 - XY), summed as a difference
+    quotient.
     """
     if n < 1:
         raise ValueError("n >= 1 required")
     a = 1 + _X * _Y - _Y
     b = 2 * _X * _Y - _Y
-    numer = (_X ** 2 * _Y ** 2 - _X * _Y ** 2) * (a ** (n - 1) - b ** (n - 1))
-    return a ** n + numer.exact_div(1 - _X * _Y)
+    return a ** n + (_X ** 2 * _Y ** 2 - _X * _Y ** 2) * _difference_quotient(a, b, n - 1)
 
 
 def ehrhart_tn_alternating(n: int) -> MultiPoly:

@@ -52,31 +52,34 @@ def test_ring_laws_random():
         assert p * (q + r) == p * q + p * r
 
 
-def test_mul_then_exact_div_roundtrip():
-    rng = random.Random(11)
-    for _ in range(40):
-        p = random_poly(rng)
-        q = random_poly(rng)
-        if q.is_zero():
-            continue
-        assert (p * q).exact_div(q) == p
-
-
 def test_basic_products():
     assert (1 + X * Y) * (1 - X * Y) == 1 - X ** 2 * Y ** 2
 
 
-def test_exact_div_k_closed_bracket():
-    # n=2 instance of the closed K bracket: XY^2[(1+XY) - Y(1+X)] = XY^2 (1-Y)
-    num = X * Y ** 2 * (1 + X * Y) - X * Y ** 2 * (Y * (1 + X))
-    assert num.exact_div(1 - Y) == X * Y ** 2
+def test_exact_div_by_a_constant_is_the_product_by_its_inverse():
+    rng = random.Random(11)
+    divisors = [1, 2, -1, -6, 7, Fraction(3, 4), Fraction(-5, 2), Fraction(1, 9),
+                MultiPoly.const(Fraction(-2, 3)), MultiPoly.const(4)]
+    for _ in range(40):
+        p = random_poly(rng)
+        for d in divisors:
+            inverse = 1 / (d.constant_value() if isinstance(d, MultiPoly) else Fraction(d))
+            assert p.exact_div(d) == p * inverse, (p, d)
+    assert (2 * X - 6).exact_div(-2) == 3 - X
+    assert X.exact_div(Fraction(2, 3))._den == 2
 
 
-def test_exact_div_failure():
-    with pytest.raises(ExactDivisionError):
-        (1 + X).exact_div(1 - Y)
-    with pytest.raises(ZeroDivisionError):
-        (1 + X).exact_div(MultiPoly.zero())
+def test_exact_div_refuses_a_divisor_that_is_not_a_nonzero_constant():
+    for d in (1 - Y, X, s, 2 * u):
+        with pytest.raises(ValueError, match=r"is not a constant"):
+            (1 + X).exact_div(d)
+    with pytest.raises(ValueError):
+        (1 - Y).exact_div(1 - Y)  # also when the division would be exact
+    for zero in (0, Fraction(0), MultiPoly.zero()):
+        with pytest.raises(ZeroDivisionError):
+            (1 + X).exact_div(zero)
+    with pytest.raises(TypeError):
+        (1 + X).exact_div(0.5)
 
 
 def test_m_from_k_reads_terms():
@@ -132,6 +135,8 @@ def test_series_geometric():
 def test_series_requires_nonzero_constant_term():
     with pytest.raises(ValueError):
         series_expand_rational(MultiPoly.const(1), s, 3)
+    with pytest.raises(ValueError, match="is not a constant"):  # 1 + X: divides at s^0 only
+        series_expand_rational(1 + X, 1 + X - s, 3)
 
 
 def test_series_counting_rhs_first_order():
@@ -280,25 +285,24 @@ def test_lagrange_rejects_bad_samples(samples, degree):
 
 # -- references: the same two algorithms on MultiPoly and Fraction values ------
 
-def _reference_lagrange(samples, degree=None, var="u"):
+def _reference_lagrange(samples, degree=None):
     """Newton's series with the binomial basis built one MultiPoly factor at
     a time and the differences taken on the sample values themselves."""
     xs = [x for x, _ in samples]
     if degree is None:
         degree = len(xs) - 1
     diffs = [y if isinstance(y, MultiPoly) else Fraction(y) for _, y in samples]
-    x_var = MultiPoly.variable(var)
     basis = MultiPoly.const(1)
     poly = MultiPoly.zero()
     for k in range(degree + 1):
         if k:
-            basis = basis * ((x_var - (xs[0] + k - 1)) * Fraction(1, k))
+            basis = basis * ((u - (xs[0] + k - 1)) * Fraction(1, k))
         if diffs[0] != 0:
             poly = poly + basis * diffs[0]
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
     for i, d in enumerate(diffs):
         if d != 0:
-            raise InterpolationError(f"sample at {var}={xs[degree + 1 + i]} "
+            raise InterpolationError(f"sample at u={xs[degree + 1 + i]} "
                                      f"is inconsistent with degree bound {degree}")
     return poly
 
@@ -319,9 +323,9 @@ def _reference_laurent(p, order):
     return out
 
 
-def _interpolation_outcome(interpolate, samples, degree, var):
+def _interpolation_outcome(interpolate, samples, degree):
     try:
-        p = interpolate(samples, degree=degree, var=var)
+        p = interpolate(samples, degree=degree)
     except InterpolationError as exc:
         return "error", str(exc)
     return "value", p, str(p)
@@ -351,7 +355,6 @@ def _sample_values(draw, values):
 @given(st.data())
 def test_lagrange_matches_the_multipoly_reference(data):
     x0 = data.draw(st.integers(-3, 3))
-    var = data.draw(st.sampled_from(["u", "s"]))
     value = st.one_of(st.integers(-10 ** 6, 10 ** 6).map(MultiPoly.const),
                       _rationals.map(MultiPoly.const), _xye_polys)
     mode = data.draw(st.sampled_from(["free", "bound", "planted"]))
@@ -364,19 +367,19 @@ def test_lagrange_matches_the_multipoly_reference(data):
     else:  # values of a polynomial of degree <= degree, then spare samples, one maybe bad
         degree = data.draw(st.integers(0, 4))
         coeffs = data.draw(st.lists(value, min_size=degree + 1, max_size=degree + 1))
-        q = sum((c * MultiPoly.variable(var) ** k for k, c in enumerate(coeffs)), MultiPoly.zero())
+        q = sum((c * u ** k for k, c in enumerate(coeffs)), MultiPoly.zero())
         count = degree + 1 + data.draw(st.integers(0, 3))
-        values = [q.subs({var: x0 + i}) for i in range(count)]
+        values = [q.subs({"u": x0 + i}) for i in range(count)]
         if count > degree + 1 and data.draw(st.booleans()):
             bad = data.draw(st.integers(degree + 1, count - 1))
             values[bad] = values[bad] + data.draw(value.filter(lambda y: not y.is_zero()))
-            with pytest.raises(InterpolationError, match=f"at {var}={x0 + bad} "):
-                lagrange_interpolate(list(enumerate(values, x0)), degree=degree, var=var)
+            with pytest.raises(InterpolationError, match=f"at u={x0 + bad} "):
+                lagrange_interpolate(list(enumerate(values, x0)), degree=degree)
         else:
-            assert lagrange_interpolate(list(enumerate(values, x0)), degree=degree, var=var) == q
+            assert lagrange_interpolate(list(enumerate(values, x0)), degree=degree) == q
     samples = list(enumerate(data.draw(_sample_values(values)), x0))
-    assert (_interpolation_outcome(lagrange_interpolate, samples, degree, var)
-            == _interpolation_outcome(_reference_lagrange, samples, degree, var))
+    assert (_interpolation_outcome(lagrange_interpolate, samples, degree)
+            == _interpolation_outcome(_reference_lagrange, samples, degree))
 
 
 @settings(max_examples=150, deadline=None)

@@ -27,8 +27,8 @@ from arborium.invariants import (
 )
 from arborium import oracle
 from fan_forms import (
-    ehrhart_tn_alternating, gens, int_binom, k_poly_by_lists, k_tn_closed, m_tn_closed,
-    zeta_tn_closed)
+    ehrhart_tn_alternating, gens, height_distribution_oracle, int_binom, k_poly_by_lists,
+    k_tn_closed, m_tn_closed, zeta_tn_closed)
 
 u, X, Y, E, V, s = gens()
 
@@ -183,7 +183,7 @@ def test_ehrhart_structure():
 def test_ehrhart_heights_match_height_distribution():
     for t in random_corpus(20260809, sizes=range(1, 6), per_size=4):
         for dil in range(4):
-            by_height = oracle.height_distribution_oracle(t, dil)
+            by_height = height_distribution_oracle(t, dil)
             got = ehrhart_heights(t, dil)
             assert len(got) == dil * t.size + 1
             for h, c in enumerate(got):

@@ -18,12 +18,20 @@ Two keep numpy off the verify and compute paths, with one place that loads it:
 
 * only oracle.py imports numpy, and only at module level;
 * cli.py imports crosscheck (and so oracle) only inside a function.
+
+And one keeps the package to what the program runs:
+
+* every public module-level definition is referenced from another place in
+  the package, save the functions that the per-layer metrics of
+  perfbench/tracing.py time by name.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "arborium"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "arborium"
 
 FORBIDDEN = {
     "oracle": {"invariants", "crosscheck", "verify", "cli"},
@@ -253,3 +261,97 @@ __all__ = ["main"]
         "invariants:2 defines __all__", "invariants:3 defines __all__"]
     assert namespace_faults("algebra", "def f():\n    __all__ = 1\n    return __all__\n") == [
         "algebra:2 defines __all__"]
+
+
+def _definitions(tree):
+    """{name: node} of the public module-level functions, classes and
+    assigned names."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        defs.update((name, node) for name in names if not name.startswith("_"))
+    return defs
+
+
+def unreferenced_definitions(sources, exempt=frozenset()):
+    """The (module, name) of every public module-level definition in sources,
+    {module name: source}, that no other place reads and that exempt, a set
+    of (module, name), does not hold.  A read is a load of the name in its
+    module outside its own definition, an import of it with ``from``, or an
+    attribute read ``m.name`` on an imported module ``m``."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    defs = {(module, name): node for module, tree in trees.items()
+            for name, node in _definitions(tree).items()}
+    read = set()
+    for module, tree in trees.items():
+        read.update((source, name) for source, name, _ in _imports(tree) if name is not None)
+        modules = _module_names(tree)
+        inside = {}
+        for (owner, name), node in defs.items():
+            if owner == module:
+                inside.update((id(sub), name) for sub in ast.walk(node))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                    and inside.get(id(node)) != node.id):
+                read.add((module, node.id))
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                read.add((modules[node.value.id], node.attr))
+    return sorted(defs.keys() - read - exempt)
+
+
+def _timed_by_name():
+    """The (layer, function name) pairs that the per-layer metrics of
+    perfbench/tracing.py read, as PER_LAYER lists them."""
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return frozenset((source[0], name) for _, _, kind, source, _ in tracing.PER_LAYER
+                     if kind in ("self", "calls") for name in source[1])
+
+
+def test_every_public_definition_is_read_in_the_package():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_definitions(sources, _timed_by_name()) == []
+
+
+def test_the_check_sees_unreferenced_definitions():
+    sources = {
+        "algebra": """
+LIMIT = 3
+TABLE, _HIDDEN = {}, 1
+
+class Poly:
+    pass
+
+def helper(p):
+    return helper(p) if p else Poly()
+
+def used_by_attribute():
+    return LIMIT
+""",
+        "oracle": """
+from .algebra import TABLE as table
+from . import algebra
+
+def census(t):
+    return table, algebra.used_by_attribute()
+
+def timed(t):
+    return t
+
+def orphan(t):
+    return orphan
+""",
+    }
+    assert unreferenced_definitions(sources) == [
+        ("algebra", "helper"), ("oracle", "census"), ("oracle", "orphan"), ("oracle", "timed")]
+    exempt = frozenset({("oracle", "timed"), ("oracle", "census"), ("algebra", "orphan")})
+    assert unreferenced_definitions(sources, exempt) == [
+        ("algebra", "helper"), ("oracle", "orphan")]

@@ -19,14 +19,13 @@ from arborium.oracle import (
     count_points,
     dilate_counts,
     enumerate_points,
-    height_distribution_oracle,
     k_oracle,
     m_triangle_oracle,
     mobius_oracle,
     multichain_weight_counts,
     zeta_oracle,
 )
-from fan_forms import gens
+from fan_forms import gens, height_distribution_oracle
 
 u, X, Y, E, V, s = gens()
 

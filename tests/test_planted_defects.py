@@ -14,7 +14,7 @@ from math import comb
 import pytest
 
 from arborium import invariants
-from arborium.algebra import Kronecker, binom_poly, poly_counts, poly_from_counts
+from arborium.algebra import Kronecker, binom_poly, poly_counts, poly_from_counts, series_mul
 from arborium.arbor import parse_arbor
 from arborium.crosscheck import corpus_check, cross_check
 from fan_forms import gens, int_binom
@@ -27,7 +27,8 @@ FIGURE = "{1,2}({3}({6,7},{8}),{4,5})"
 def zeta_step_base_off_by_one(labels, n, kids):
     # binom_poly(r(u-1)+h, h) in place of binom_poly(r(u-1)+h-1, h)
     base = len(labels) * (u - 1)
-    return invariants._cut_product([binom_poly(base + h, h) for h in range(n + 1)], kids)
+    own = [binom_poly(base + h, h) for h in range(n + 1)]
+    return reduce(lambda g, kid: series_mul(g, kid, n), kids, own)
 
 
 def k_step_without_the_support_binomial(packer, size, labels, n, kids):

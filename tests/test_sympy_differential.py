@@ -13,12 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 from arborium.algebra import (
     VARIABLES,
-    ExactDivisionError,
     MultiPoly,
     lagrange_interpolate,
     series_expand_rational,
 )
 from arborium.invariants import m_from_k
+from fan_forms import k_tn_closed, m_tn_closed
 
 SYMBOLS = sympy.symbols(VARIABLES)
 SX, SY = SYMBOLS[VARIABLES.index("X")], SYMBOLS[VARIABLES.index("Y")]
@@ -80,7 +80,7 @@ def test_subs_matches_sympy(p, mapping):
     assert p.subs(mapping) == from_sympy(expected)
 
 
-# -- the ring operations, division and series expansion ---------------------
+# -- the ring operations and series expansion ---------------------------------
 
 ALL = ("u", "X", "Y", "E", "V", "s")
 small_ints = st.integers(-3, 3)
@@ -105,32 +105,6 @@ def test_ring_operations_match_sympy(p, q, c):
 @given(polys(("u", "X", "Y", "E"), max_exp=2, max_terms=4), st.integers(0, 4))
 def test_powers_match_sympy(p, e):
     assert p ** e == from_sympy(to_sympy(p) ** e)
-
-
-@settings(max_examples=150, deadline=None)
-@given(polys(("u", "X", "Y"), max_exp=3, max_terms=5), polys(("u", "X", "Y"), max_exp=2,
-                                                             max_terms=4))
-def test_exact_div_of_a_product_returns_the_factor(a, b):
-    if b.is_zero():
-        return
-    assert (a * b).exact_div(b) == a
-    if b.degree() > 0:  # a*b + 1 leaves the remainder 1 whatever b is
-        with pytest.raises(ExactDivisionError):
-            (a * b + 1).exact_div(b)
-
-
-@settings(max_examples=150, deadline=None)
-@given(polys(("u", "X", "Y"), max_exp=3, max_terms=5), polys(("u", "X", "Y"), max_exp=2,
-                                                             max_terms=3))
-def test_exact_div_agrees_with_sympy_division(p, b):
-    if b.is_zero():
-        return
-    quotient, remainder = sympy.div(to_sympy(p), to_sympy(b), *SYMBOLS)
-    if remainder == 0:  # one divisor: remainder 0 exactly when b divides p
-        assert p.exact_div(b) == from_sympy(quotient)
-    else:
-        with pytest.raises(ExactDivisionError):
-            p.exact_div(b)
 
 
 nonzero = coefficients.filter(bool)
@@ -159,3 +133,20 @@ def test_lagrange_interpolate_matches_sympy(x0, values):
     points = [(x0 + i, y) for i, y in enumerate(values)]
     expected = sympy.interpolate([(x, sympy.Rational(y)) for x, y in points], su)
     assert lagrange_interpolate(points) == from_sympy(expected)
+
+
+# -- the fan closed forms, without polynomial division -------------------------
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_fan_closed_forms_match_the_cancelled_rational_forms(n):
+    """The difference-quotient sums of tests/fan_forms.py equal what sympy's
+    cancel makes of the rational K and M forms of t_n."""
+    k_form = ((1 + SX * SY) ** n + SX * SY ** 2 * ((1 + SX * SY) ** (n - 1)
+                                                     - (SY * (1 + SX)) ** (n - 1)) / (1 - SY))
+    a, b = 1 + SX * SY - SY, 2 * SX * SY - SY
+    m_form = a ** n + ((SX ** 2 * SY ** 2 - SX * SY ** 2) * (a ** (n - 1) - b ** (n - 1))
+                       / (1 - SX * SY))
+    for form, closed in ((k_form, k_tn_closed(n)), (m_form, m_tn_closed(n))):
+        cancelled = sympy.cancel(sympy.together(form))
+        assert sympy.denom(cancelled) == 1
+        assert closed == from_sympy(cancelled)
