@@ -255,6 +255,7 @@ def constraints(t: Arbor) -> list:
 
 CORPUS_VERSION = 1
 CORPUS_SIZES = range(1, 7)  # the arbor sizes of the default corpus
+CORPUS_PER_SIZE = 4  # the arbors of each size in the default corpus
 
 
 def random_arbor(n: int, rng: random.Random) -> Arbor:
@@ -278,7 +279,7 @@ def random_arbor(n: int, rng: random.Random) -> Arbor:
     return Arbor(0, vertices, children)
 
 
-def random_corpus(seed: int, sizes=CORPUS_SIZES, per_size: int = 4) -> list:
+def random_corpus(seed: int, sizes=CORPUS_SIZES, per_size: int = CORPUS_PER_SIZE) -> list:
     """Deterministic corpus of random arbors (version-stamped via CORPUS_VERSION)."""
     rng = random.Random(f"corpus-v{CORPUS_VERSION}-{seed}")
     return [random_arbor(n, rng) for n in sizes for _ in range(per_size)]

@@ -25,7 +25,7 @@ import os
 import sys
 
 from .algebra import MultiPoly, poly_to_terms
-from .arbor import CORPUS_SIZES, ArborError, make_tn, parse_arbor, serialize_arbor
+from .arbor import CORPUS_PER_SIZE, CORPUS_SIZES, ArborError, make_tn, parse_arbor, serialize_arbor
 from .invariants import INVARIANT_NAMES, compute_invariants
 from .verify import DEFAULT_ORDER, THEOREMS, VERIFIERS
 
@@ -100,8 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--arbor", help="check a single arbor instead of the corpus")
     p_oracle.add_argument("--seed", type=int, default=20260809,
                           help="corpus seed (default 20260809)")
-    p_oracle.add_argument("--per-size", type=int, default=4,
-                          help=f"corpus arbors per size {_SIZES} (default 4)")
+    p_oracle.add_argument("--per-size", type=int, default=CORPUS_PER_SIZE,
+                          help=f"corpus arbors per size {_SIZES} (default {CORPUS_PER_SIZE})")
     p_oracle.add_argument("--format", choices=("text", "json"), default="text")
 
     p_tn = sub.add_parser("tn", help="print the canonical text of t_N")

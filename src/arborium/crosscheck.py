@@ -15,7 +15,8 @@ matrices.  cross_check first calls check_point_limit, which raises
 PointLimitError above MAX_POINTS: at once if 2^n > MAX_POINTS, as every 0/1
 vector is a point, else once the Ehrhart recursion at u = 1 counts |P|.
 The Ehrhart counts of every checked dilate come from one lattice walk,
-oracle.dilate_counts.
+oracle.dilate_counts, which counts the last two coordinates of each prefix
+in closed form.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import ExactDivisionError, InterpolationError, MultiPoly, poly_from_counts
-from .arbor import Arbor, ArborError, random_corpus, serialize_arbor
+from .arbor import CORPUS_PER_SIZE, Arbor, ArborError, random_corpus, serialize_arbor
 from . import invariants, oracle
 
 # Largest |P| that cross_check accepts, a time budget.  t_13 has exactly
@@ -33,8 +34,8 @@ MAX_POINTS = 2 ** 15
 # Above this poset size, skip full zeta interpolation and the Ehrhart and
 # volume checks and use spot multichain evaluations instead.  The skipped
 # checks are no longer costly: on the figure arbor (|P| = 3464) counting
-# takes 0.006 / 0.05-0.06 / 0.26-0.27 s at u = 2 / 3 / 4 alone and
-# 0.31-0.32 s for u = 0..4 in one dilate_counts walk, and the full zeta
+# takes 0.003 / 0.015-0.017 / 0.065-0.071 s at u = 2 / 3 / 4 alone and
+# 0.084-0.091 s for u = 0..4 in one dilate_counts walk, and the full zeta
 # oracle, build included, 0.008-0.009 s (best of 3 in each of four
 # processes, shared 2-CPU VM, numpy 2.4).  The limit stays until
 # perfbench/pinned.json re-pins the figure arbor's output.
@@ -136,7 +137,7 @@ def cross_check(t: Arbor) -> list:
     return out
 
 
-def corpus_check(seed: int, per_size: int = 4) -> list:
+def corpus_check(seed: int, per_size: int = CORPUS_PER_SIZE) -> list:
     """Cross checks over the deterministic random corpus of CORPUS_SIZES."""
     out = []
     for t in random_corpus(seed, per_size=per_size):

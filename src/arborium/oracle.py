@@ -6,10 +6,13 @@ It fixes one coordinate per step for a whole block of prefixes at once, in
 int64 numpy arrays, depth-first over blocks of at most _BLOCK rows, so the
 counter's memory is bounded by the block size, not by the number of
 points; nothing here recurses, so deep arbors need no stack.  The walk
-starts from one root row per dilate, so dilate_counts counts every dilate
-a check needs in one walk, paying the walk's fixed numpy cost per
-coordinate once rather than once per dilate.  Points have one format: the
-walk's rows, one int64 array in lex order.
+stops two coordinates short: the points over a prefix form a staircase in
+the last two coordinates, cut by three budgets, which dilate_counts counts
+in closed form (Beck and Robins, Computing the Continuous Discretely,
+ch. 2) and enumerate_points expands.  The walk starts from one root row per
+dilate, so dilate_counts counts every dilate a check needs in one walk,
+paying the walk's fixed numpy cost per coordinate once rather than once per
+dilate.  Points have one format: one int64 array in lex order.
 
 The points of the u=1 dilate are down-closed in N^n, so the zeta transform
 of their poset is n one-axis prefix sums, and its inverse undoes them
@@ -22,6 +25,7 @@ stated bounds.
 from __future__ import annotations
 
 from collections import Counter
+from functools import reduce
 from math import prod
 
 import numpy as np
@@ -43,26 +47,45 @@ def _children(rows, lo, taken):
     return rows.repeat(taken, axis=0), vals
 
 
-def _prefix_blocks(t: Arbor, dilates):
-    """Yield (prefixes, index, caps) for the feasible choices of the first
-    n-1 coordinates of a point of the u-th dilate, for every u = dilates[i]
-    at once, in lexicographic order of (i, prefix), in blocks of at most
-    _BLOCK rows (when n = 1, the one block is the root block below).
+def _least(rows, cols):
+    """The least of the columns cols of rows, row by row; one np.minimum per
+    extra column is faster than a fancy index and a reduction, on small
+    blocks and on full ones."""
+    return reduce(np.minimum, [rows[:, c] for c in cols])
 
-    The points with prefix row r are prefix + (v,) for v = 0..caps[r], in
-    the dilate dilates[index[r]].  A row holds each constraint's remaining
-    budget, then the coordinates chosen so far, then the index i of its
-    dilate; the walk starts from the root block, one row per dilate with
-    budgets u * b_c, and a child copies its parent's index with the rest of
-    the row.  A coordinate's cap is the least budget among the constraints
-    it enters.  A step pops the top block of prefixes of one length and
-    expands at most _BLOCK children from its lex-first rows, pushing back
-    the rest under the children (the first row left may keep only the upper
-    part of its range, from its start value lo), so the walk runs
-    depth-first in lex order over at most n + 1 blocks at a time, whatever
-    the number of dilates.  Budgets, caps and block sums are int64:
-    max(dilates) * n must stay below 2^62 / _BLOCK (2^50), else ValueError;
-    a negative dilate is a ValueError too.
+
+def _prefix_blocks(t: Arbor, dilates):
+    """Yield (prefixes, index, X, B, C) for the feasible choices of the
+    first n-2 coordinates of a point of the u-th dilate, for every
+    u = dilates[i] at once, in lexicographic order of (i, prefix), in blocks
+    of at most _BLOCK rows (when n <= 2, the one block is the root block
+    below).
+
+    The last two coordinates of prefix row r are left to the caller: the
+    points with that prefix are prefix + (x, y) for x = 0..X[r] and
+    y = 0..min(C[r], B[r] - x), in the dilate dilates[index[r]].  X is the
+    cap of x_{n-1}; B the least budget among the constraints that hold both
+    x_{n-1} and x_n (the root's is one, so X <= B); C the least among those
+    that hold x_n but not x_{n-1}, or B when there are none.  When n = 1 the
+    one coordinate is the y of a pair whose x is fixed at 0: X = 0 and
+    B = C is its cap.
+
+    A row holds each constraint's remaining budget, then the coordinates
+    chosen so far, then the index i of its dilate; the walk starts from the
+    root block, one row per dilate with budgets u * b_c, and a child copies
+    its parent's index with the rest of the row.  A coordinate's cap is the
+    least budget among the constraints it enters.  A step pops the top
+    block of prefixes of one length and expands at most _BLOCK children
+    from its lex-first rows, pushing back the rest under the children (the
+    first row left may keep only the upper part of its range, from its
+    start value lo), so the walk runs depth-first in lex order over at most
+    n blocks at a time, whatever the number of dilates.
+
+    Budgets and caps are int64: max(dilates) * n must stay below
+    2^62 / _BLOCK (2^50); when n >= 2 a prefix holds up to (u * n + 1)^2
+    points, and _BLOCK of those counts must stay below 2^62 too, so
+    (max(dilates) * n + 1)^2 must stay below 2^62 / _BLOCK.  Past either
+    bound, ValueError; a negative dilate is a ValueError too.
     """
     if any(u < 0 for u in dilates):
         raise ValueError("dilation factor must be >= 0")
@@ -71,6 +94,9 @@ def _prefix_blocks(t: Arbor, dilates):
     if top * n >= 2 ** 62 // _BLOCK:
         raise ValueError(f"u * n = {top * n} exceeds the int64 bound 2^62 / {_BLOCK} "
                          "of the lattice walk")
+    if n >= 2 and (top * n + 1) ** 2 >= 2 ** 62 // _BLOCK:
+        raise ValueError(f"(u * n + 1)^2 = {(top * n + 1) ** 2} exceeds the int64 bound "
+                         f"2^62 / {_BLOCK} of the pair count")
     if not dilates:
         return
     cons = constraints(t)
@@ -79,18 +105,26 @@ def _prefix_blocks(t: Arbor, dilates):
     for ci, c in enumerate(cons):
         for lab in c.support:
             cols[lab - 1].append(ci)
-    roots = np.zeros((len(dilates), m + n), dtype=np.int64)
+    last = max(n - 2, 0)
+    if n >= 2:  # the columns of X, B and C
+        xcols = cols[n - 2]
+        bcols = [ci for ci in cols[n - 1] if ci in xcols]
+        ccols = [ci for ci in cols[n - 1] if ci not in xcols]
+    else:  # a pair whose x is fixed at 0
+        xcols, bcols, ccols = [], cols[0], []
+    roots = np.zeros((len(dilates), m + last + 1), dtype=np.int64)
     roots[:, :m] = np.outer(dilates, [c.bound for c in cons])
     roots[:, -1] = np.arange(len(dilates))
-    last = n - 1
     stack = [(0, roots, 0)]
     while stack:
         j, rows, lo = stack.pop()
-        caps = rows[:, cols[j]].min(axis=1)
         if j == last:
-            yield rows[:, m:-1], rows[:, -1], caps
+            B = _least(rows, bcols)
+            X = _least(rows, xcols) if xcols else np.zeros_like(B)
+            C = _least(rows, ccols) if ccols else B
+            yield rows[:, m:-1], rows[:, -1], X, B, C
             continue
-        taken = caps + 1 - lo
+        taken = _least(rows, cols[j]) + 1 - lo
         ends = taken.cumsum()
         if ends[-1] > _BLOCK:
             taken = np.minimum(ends, _BLOCK) - np.minimum(ends - taken, _BLOCK)
@@ -105,22 +139,37 @@ def _prefix_blocks(t: Arbor, dilates):
 def enumerate_points(t: Arbor, u: int):
     """All integer points of the u-th dilate: an (N, n) int64 array in lex order.
 
-    ValueError if u < 0 or u * n reaches 2^62 / _BLOCK."""
-    return np.concatenate([np.column_stack(_children(prefixes, 0, caps + 1))
-                           for prefixes, _, caps in _prefix_blocks(t, (u,))])
+    Each prefix of the walk is expanded by its x_{n-1} values, then each of
+    those by its x_n values.  ValueError past the walk's int64 bounds (see
+    _prefix_blocks) or if u < 0."""
+    blocks = []
+    for prefixes, _, X, B, C in _prefix_blocks(t, (u,)):
+        rows, x = _children(np.column_stack((prefixes, B, C)), 0, X + 1)
+        caps = np.minimum(rows[:, -1], rows[:, -2] - x)
+        rows[:, -2] = x
+        rows, y = _children(rows[:, :-1], 0, caps + 1)
+        blocks.append(np.column_stack((rows, y)))
+    return np.concatenate(blocks)[:, -t.size:]  # n = 1 drops the pair's x
 
 
 def dilate_counts(t: Arbor, dilates) -> list:
     """[|u-th dilate ∩ Z^n| for u in dilates] as Python ints, from one walk
     over every dilate of the sequence, without materializing the points.
 
-    A block's sum per dilate is int64 (below 2^62, by the walk's bound);
-    the totals add them up as Python ints.  ValueError if a dilate is
-    negative or max(dilates) * n reaches 2^62 / _BLOCK."""
+    A prefix holds sum_{x=0}^{X} (min(C, B - x) + 1) points.  Under
+    x + y <= B alone there are (X + 1)(2B + 2 - X) / 2; y <= C cuts d - x
+    values of y from each x < k, with d = B - C and k = clip(d + 1, 0, X + 1),
+    k(2d + 1 - k) / 2 in all.  A block's sum per dilate is int64 (below 2^62,
+    by the walk's bounds); the totals add them up as Python ints.
+    ValueError if a dilate is negative or past the walk's int64 bounds (see
+    _prefix_blocks)."""
     totals = [0] * len(dilates)
-    for _, index, caps in _prefix_blocks(t, dilates):
+    for _, index, X, B, C in _prefix_blocks(t, dilates):
+        d = B - C
+        k = np.minimum(np.maximum(d + 1, 0), X + 1)
+        counts = ((X + 1) * (2 * B + 2 - X) - k * (2 * d + 1 - k)) // 2
         sums = np.zeros(len(totals), dtype=np.int64)
-        np.add.at(sums, index, caps + 1)
+        np.add.at(sums, index, counts)
         totals = [a + b for a, b in zip(totals, sums.tolist())]
     return totals
 
@@ -128,7 +177,7 @@ def dilate_counts(t: Arbor, dilates) -> list:
 def count_points(t: Arbor, u: int) -> int:
     """|u-th dilate ∩ Z^n| as a Python int: dilate_counts of the one dilate.
 
-    ValueError if u < 0 or u * n reaches 2^62 / _BLOCK."""
+    ValueError if u < 0 or past the walk's int64 bounds (see _prefix_blocks)."""
     return dilate_counts(t, (u,))[0]
 
 

@@ -497,3 +497,14 @@ def test_cli_import_does_not_load_numpy():
     code, out, err = run_fresh("-c", probe)
     assert code == 0, err
     assert out.strip() == "False"
+    # nor does running them, so a change to the oracle alone cannot move
+    # verify or compute
+    probe = ("import contextlib, io, sys\n"
+             "from arborium.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    codes = [main(['verify', '--order', '4', '--format', 'json']),\n"
+             "             main(['compute', '--tn', '3'])]\n"
+             "print(codes, 'arborium.oracle' in sys.modules, 'numpy' in sys.modules)")
+    code, out, err = run_fresh("-c", probe)
+    assert code == 0, err
+    assert out.strip() == "[0, 0] False False"

@@ -4,7 +4,7 @@ import itertools
 import random
 import tracemalloc
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 import pytest
@@ -12,7 +12,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from arborium import oracle
 from arborium.algebra import MultiPoly, poly_from_counts
-from arborium.arbor import Arbor, constraints, make_tn, parse_arbor, random_arbor, random_corpus
+from arborium.arbor import (
+    Arbor,
+    constraints,
+    make_tn,
+    parse_arbor,
+    random_arbor,
+    random_corpus,
+    serialize_arbor,
+)
 from arborium.oracle import (
     Poset,
     build_poset,
@@ -114,6 +122,60 @@ def test_dilate_counts_match_the_filtered_box(size, seed, dilates):
     assert all(type(c) is int for c in counts)
 
 
+def _pruned_box(t, dil):
+    # the points of _filtered_box, grown one coordinate at a time: each kept
+    # row takes every value of the next coordinate's box range, and a row is
+    # kept while every subtree inequality holds on the coordinates chosen so
+    # far (coordinates are >= 0), so the box is never built whole (for a
+    # size-7 arbor at u = 3 it has 8 million cells in the median)
+    cons = constraints(t)
+    rows = np.zeros((1, 0), dtype=np.int64)
+    for lab in range(1, t.size + 1):
+        width = dil * min(c.bound for c in cons if lab in c.support) + 1
+        values = np.tile(np.arange(width), len(rows))
+        rows = np.column_stack((rows.repeat(width, axis=0), values))
+        keep = np.ones(len(rows), dtype=bool)
+        for c in cons:
+            if lab in c.support:
+                chosen = [x - 1 for x in c.support if x <= lab]
+                keep &= rows[:, chosen].sum(axis=1) <= dil * c.bound
+        rows = rows[keep]
+    return rows.tolist()
+
+
+def _random_text(size, seed):
+    return serialize_arbor(random_arbor(size, random.Random(seed)))
+
+
+_RANDOM_ARBORS = st.builds(_random_text, st.integers(1, 7), st.integers(0, 2 ** 32))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_RANDOM_ARBORS, st.lists(st.integers(0, 3), max_size=6))
+@example("{1}", [2, 0, 3, 2])        # n = 1: a pair whose x is fixed at 0
+@example("{1,2}", [3, 1, 0, 3])      # labels n-1 and n on one vertex
+@example("{2,3}({1})", [0, 3, 2, 3])
+@example("{1}({2})", [3, 0, 1, 3])   # n below n-1: C is finite
+@example("{2}({1}({3}))", [2, 3, 0, 2])
+@example("{2}({1})", [1, 3, 3, 0])   # n-1 below n: C = B
+@example("{1}({3}({2}))", [3, 2, 0, 3])
+@example("{1}({2},{3})", [3, 0, 3, 1])  # separate branches: C is finite
+def test_pair_counts_match_the_box_and_the_enumeration(text, dilates):
+    # the last two coordinates of each prefix, counted in closed form, over
+    # one walk of unsorted and repeated dilates
+    t = parse_arbor(text)
+    expected = {}
+    for dil in set(dilates):
+        points = _pruned_box(t, dil)
+        if t.size <= 5:
+            assert points == _filtered_box(t, dil), (text, dil)
+        assert len(enumerate_points(t, dil)) == len(points), (text, dil)
+        expected[dil] = len(points)
+    counts = dilate_counts(t, dilates)
+    assert counts == [expected[dil] for dil in dilates]
+    assert all(type(c) is int for c in counts)
+
+
 @pytest.mark.parametrize("block", [1, 2, 3])
 def test_walk_blocks_keep_the_points_and_their_order(monkeypatch, block):
     # blocks of 1-3 rows split every expansion, most of them inside one
@@ -134,9 +196,9 @@ def test_walk_blocks_keep_the_points_and_their_order(monkeypatch, block):
     walk, mixed = oracle._prefix_blocks, []
 
     def recorded(t, dilates):
-        for prefixes, index, caps in walk(t, dilates):
+        for prefixes, index, *budgets in walk(t, dilates):
             mixed.append(len(set(index.tolist())) > 1)
-            yield prefixes, index, caps
+            yield prefixes, index, *budgets
 
     monkeypatch.setattr(oracle, "_prefix_blocks", recorded)
     for (t, dils), counts in zip(mixes, expected_mixes):
@@ -178,6 +240,27 @@ def test_count_points_refuses_an_int64_overflow():
             dilate_counts(t, dils)
     with pytest.raises(ValueError, match=">= 0"):
         dilate_counts(make_tn(2), (1, -1, 2))
+
+
+def test_pair_counts_refuse_an_int64_overflow():
+    # when n >= 2 a prefix holds up to (u * n + 1)^2 points, and a block sums
+    # _BLOCK prefixes: (u * n + 1)^2 must stay below 2^62 / _BLOCK
+    bound = 2 ** 62 // oracle._BLOCK
+    for t, count in ((make_tn(2), lambda u: (u + 1) * (3 * u + 2) // 2),
+                     (parse_arbor("{1,2}"), lambda u: (u + 1) * (2 * u + 1))):
+        top = (isqrt(bound - 1) - 1) // 2  # the largest dilate accepted
+        assert (2 * top + 1) ** 2 < bound <= (2 * top + 3) ** 2
+        assert count_points(t, top) == count(top)
+        assert dilate_counts(t, (top, 0, 1)) == [count(top), 1, count(1)]
+        for dils in ((top + 1,), (0, top + 1), (top + 1, 0, 1)):
+            with pytest.raises(ValueError, match="int64 bound"):
+                dilate_counts(t, dils)
+        with pytest.raises(ValueError, match="int64 bound"):
+            enumerate_points(t, top + 1)
+    top = (isqrt(bound - 1) - 1) // 3
+    for dil in (top + 1, bound // 3):
+        with pytest.raises(ValueError, match="int64 bound"):
+            dilate_counts(make_tn(3), (0, dil))
 
 
 def _leq(P):
