@@ -18,9 +18,11 @@ exponent tuple).  Coefficients are integer numerators over one positive
 common denominator that shares no factor with all of them, so equal
 polynomials have equal representations.  Every total degree stays below
 DEGREE_LIMIT, which keeps each field in range; a product that would reach
-it raises OverflowError.  Other modules read and write terms through
-poly_counts and poly_from_counts; poly_to_terms writes the CLI's JSON term
-list, which nothing reads back, and the terms view is for tests and tools.
+it raises OverflowError.  Other modules read terms through poly_numerators
+(integer numerators over the one denominator) or its Fraction view
+poly_counts, and write them through poly_from_counts; poly_to_terms writes
+the CLI's JSON term list, which nothing reads back, and the terms view is
+for tests and tools.
 
 Newton interpolation, the Laurent window and census polynomials from int
 counts work on these integer numerators over one denominator as well: they
@@ -164,6 +166,8 @@ class MultiPoly:
 
     @classmethod
     def const(cls, value) -> "MultiPoly":
+        if type(value) is int:
+            return _new({0: value} if value else {}, 1)
         c = _frac(value)
         return _new({0: c.numerator} if c else {}, c.denominator)
 
@@ -463,19 +467,29 @@ def _check_variables(p: MultiPoly, names) -> None:
         raise ValueError(f"expected a polynomial in {', '.join(names)}, found {sorted(extra)}")
 
 
-def poly_counts(p: MultiPoly, *names) -> dict:
-    """The terms of p as {key: Fraction}, keyed as poly_from_counts reads them.
+def poly_numerators(p: MultiPoly, *names) -> tuple:
+    """The terms of p as ({key: int numerator}, den) over p's one positive
+    denominator den, keyed as poly_from_counts reads them; the zero
+    polynomial gives ({}, 1).
 
     Raises ValueError if p uses a variable that is not named.
     """
     _check_variables(p, names)
     shifts = [_SHIFTS[_VAR_INDEX[name]] for name in names]
-    den = p._den
     if len(shifts) == 1:
         shift, = shifts
-        return {(key >> shift) & _MASK: Fraction(c, den) for key, c in p._nums.items()}
-    return {tuple((key >> shift) & _MASK for shift in shifts): Fraction(c, den)
-            for key, c in p._nums.items()}
+        return {(key >> shift) & _MASK: c for key, c in p._nums.items()}, p._den
+    return {tuple((key >> shift) & _MASK for shift in shifts): c
+            for key, c in p._nums.items()}, p._den
+
+
+def poly_counts(p: MultiPoly, *names) -> dict:
+    """The terms of p as {key: Fraction}: the Fraction view of poly_numerators.
+
+    Raises ValueError if p uses a variable that is not named.
+    """
+    nums, den = poly_numerators(p, *names)
+    return {key: Fraction(c, den) for key, c in nums.items()}
 
 
 # -- JSON term list (CLI output) -------------------------------------------

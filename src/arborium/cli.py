@@ -32,7 +32,8 @@ from .verify import DEFAULT_ORDER, THEOREMS, VERIFIERS
 # Input limits.  Each is set so that the largest accepted input ends within
 # about 10 s; the times are single runs on a shared 2-CPU VM with CPython 3.11,
 # and a range spans three to five such runs.
-MAX_ORDER = 52          # verify --order / ARBORIUM_ORDER: all four theorems, 4.4-6.0 s
+MAX_ORDER = 52          # verify --order / ARBORIUM_ORDER: all four theorems, 4.0-5.5 s
+                        # (the laplace theorem alone 0.08-0.09 s)
 MAX_COMPUTE_SIZE = 30   # compute --tn / --arbor size: every invariant, 1.0 s at most
                         # (16 random arbors 0.4-1.0 s, t_30 0.5-0.9 s, 30-deep path 0.3-0.5 s)
 MAX_TN = 800_000        # tn N: 3.5-3.7 s and 577 MB peak RSS; building t_N takes

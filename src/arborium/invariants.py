@@ -9,8 +9,10 @@ series_mul; _k_step keeps int counts of X^l Y^h as one Kronecker-packed int
 (see algebra.Kronecker), so a product is one int product and the cut one
 mask; ehrhart_heights keeps counts by height and applies its own factor
 1/(1-x)^r as r prefix sums; _laplace_step's own factor is V^r, cut by
-truncate_laplace, which also adds boundary corrections.  m_triangle, ehrhart
-and volume are read off k_poly, ehrhart_heights and laplace:
+truncate_laplace, which also adds boundary corrections on the integer
+numerators that algebra.poly_numerators gives, with no Fraction per term.
+m_triangle, ehrhart and volume are read off k_poly, ehrhart_heights and
+laplace, and compute_invariants runs each fold once per request:
 
 * zeta_poly       height-weighted zeta polynomial Z(u, X)
 * k_poly          nonzero-coordinate/height census K(X, Y)
@@ -30,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import accumulate
-from math import comb, factorial
+from math import comb
 from operator import mul
 
 from .algebra import (
@@ -42,6 +44,7 @@ from .algebra import (
     laplace_laurent,
     poly_counts,
     poly_from_counts,
+    poly_numerators,
     series_mul,
 )
 from .arbor import Arbor
@@ -191,19 +194,32 @@ def truncate_laplace(p: MultiPoly, n: int) -> MultiPoly:
     otherwise subtracts the boundary corrections
     sum_j (n-l)^(k-j)/(k-j)! * V^(j+1) E^n.  Every monomial must carry a
     positive V-degree, and no variable other than E and V may occur.
+
+    The sums run on p's integer numerators over its denominator D: with K
+    the top V-degree minus 1 and F = K!, every k - j is at most K, so each
+    weight F/(k-j)! is an integer and every denominator of the image
+    divides D*F.  A kept term c*V^(k+1) E^l gets the numerator c*F and its
+    corrections -c*(n-l)^(k-j)*F/(k-j)!; the sum is canonicalised once.
     """
-    terms: dict = {}
-    for (edeg, vdeg), coeff in poly_counts(p, "E", "V").items():
-        if vdeg < 1:
-            raise ValueError("every monomial must have V-degree >= 1")
+    nums, den = poly_numerators(p, "E", "V")
+    if min((vdeg for _, vdeg in nums), default=1) < 1:
+        raise ValueError("every monomial must have V-degree >= 1")
+    top = max((vdeg for _, vdeg in nums), default=1)
+    weights = [1] * top  # weights[i] = F/i!, for i = 0..K
+    for i in range(top - 1, 0, -1):
+        weights[i - 1] = weights[i] * i
+    out: dict = {}
+    get = out.get
+    for (edeg, vdeg), c in nums.items():
         if edeg >= n:
             continue
-        terms[edeg, vdeg] = coeff
-        k = vdeg - 1
-        for j in range(k + 1):
-            terms[n, j + 1] = (terms.get((n, j + 1), 0)
-                               - coeff * Fraction((n - edeg) ** (k - j), factorial(k - j)))
-    return poly_from_counts(terms, "E", "V")
+        out[edeg, vdeg] = c * weights[0]
+        k, dist, power = vdeg - 1, n - edeg, c
+        for j in range(k, -1, -1):  # power = c*(n-l)^(k-j)
+            key = n, j + 1
+            out[key] = get(key, 0) - power * weights[k - j]
+            power *= dist
+    return poly_from_counts(out, "E", "V").exact_div(den * weights[0])
 
 
 def laplace(t: Arbor) -> MultiPoly:
@@ -241,7 +257,11 @@ def volume(t: Arbor) -> Fraction:
     """Volume of the tree polytope: the v^0 coefficient of the Laplace
     transform's Laurent window up to v^0; LaurentDegreeError if the window
     has a negative degree."""
-    window = laplace_laurent(laplace(t), 0)
+    return _volume_of(laplace(t))
+
+
+def _volume_of(transform: MultiPoly) -> Fraction:
+    window = laplace_laurent(transform, 0)
     low = min(window, default=0)
     if low < 0:
         raise LaurentDegreeError(low)
@@ -257,11 +277,22 @@ INVARIANT_NAMES = tuple(_INVARIANTS)
 
 
 def compute_invariants(t: Arbor, names=INVARIANT_NAMES) -> dict:
-    """{name: value} of the named invariants of t."""
-    values = {}
+    """{name: value} of the named invariants of t, in the order named.
+
+    m is read off k by m_from_k, and volume off laplace, so naming both of
+    a pair runs its fold once.
+    """
     for name in names:
         if name not in _INVARIANTS:
             raise ValueError(f"unknown invariant {name!r}")
-        values[name] = _INVARIANTS[name](t)
-    return values
-
+    values = {}
+    if "k" in names and "m" in names:
+        values["k"] = k_poly(t)
+        values["m"] = m_from_k(values["k"])
+    if "laplace" in names and "volume" in names:
+        values["laplace"] = laplace(t)
+        values["volume"] = _volume_of(values["laplace"])
+    for name in names:
+        if name not in values:
+            values[name] = _INVARIANTS[name](t)
+    return {name: values[name] for name in names}

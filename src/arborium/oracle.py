@@ -132,7 +132,8 @@ def _prefix_blocks(t: Arbor, dilates):
             stack.append((j, rows[k:], (lo + taken)[k:]))
         kids, vals = _children(rows, lo, taken)
         kids[:, m + j] = vals
-        kids[:, cols[j]] -= vals[:, None]
+        for ci in cols[j]:  # column by column: a fancy index would gather and scatter
+            kids[:, ci] -= vals
         stack.append((j + 1, kids, 0))
 
 

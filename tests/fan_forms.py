@@ -1,12 +1,15 @@
 """Reference forms that only the tests use: the generators, the integer
-binomial, the list fold of K, the height census of a dilate by enumeration,
-and closed forms of the fan family t_n."""
+binomial, the list fold of K, the Laplace truncation in Fraction arithmetic,
+the height census of a dilate by enumeration, and closed forms of the fan
+family t_n."""
 
 from collections import Counter
+from fractions import Fraction
 from functools import reduce
 from math import factorial
 
-from arborium.algebra import VARIABLES, MultiPoly, binom_poly, poly_from_counts, series_mul
+from arborium.algebra import (
+    VARIABLES, MultiPoly, binom_poly, poly_counts, poly_from_counts, series_mul)
 from arborium.oracle import enumerate_points
 
 
@@ -53,6 +56,28 @@ def k_poly_by_lists(t) -> MultiPoly:
         return reduce(lambda g, kid: series_mul(g, kid, n), kids, own)
 
     return sum((c * _Y ** h for h, c in enumerate(t.fold(step))), MultiPoly.zero())
+
+
+def truncate_laplace_by_fractions(p: MultiPoly, n: int) -> MultiPoly:
+    """invariants.truncate_laplace term by term in Fraction arithmetic.
+
+    Each monomial c*V^(k+1)*E^l with l < n is kept and gets the corrections
+    -c*(n-l)^(k-j)/(k-j)! * V^(j+1)*E^n for j = 0..k; one with l >= n is
+    dropped.  ValueError for a V-degree below 1 or a variable other than E
+    and V.
+    """
+    terms: dict = {}
+    for (edeg, vdeg), coeff in poly_counts(p, "E", "V").items():
+        if vdeg < 1:
+            raise ValueError("every monomial must have V-degree >= 1")
+        if edeg >= n:
+            continue
+        terms[edeg, vdeg] = coeff
+        k = vdeg - 1
+        for j in range(k + 1):
+            terms[n, j + 1] = (terms.get((n, j + 1), 0)
+                               - coeff * Fraction((n - edeg) ** (k - j), factorial(k - j)))
+    return poly_from_counts(terms, "E", "V")
 
 
 def height_distribution_oracle(t, m: int) -> MultiPoly:

@@ -20,6 +20,7 @@ from arborium.algebra import (
     laplace_laurent,
     poly_counts,
     poly_from_counts,
+    poly_numerators,
     poly_to_terms,
     series_expand_rational,
     series_mul,
@@ -480,6 +481,9 @@ def test_poly_counts_inverts_poly_from_counts(data):
     p = poly_from_counts(counts, *names)
     assert poly_counts(p, *names) == {k: c for k, c in counts.items() if c}
     assert poly_from_counts(poly_counts(p, *names), *names) == p
+    nums, den = poly_numerators(p, *names)
+    assert den >= 1 and all(type(c) is int and c for c in nums.values())
+    assert poly_from_counts(nums, *names).exact_div(den) == p
 
 
 def test_poly_counts_keys_follow_the_named_order():
@@ -492,6 +496,25 @@ def test_poly_counts_keys_follow_the_named_order():
 def test_poly_counts_rejects_an_unnamed_variable():
     with pytest.raises(ValueError, match=r"\['V', 'Y'\]"):
         poly_counts(X + Y * V, "X", "E")
+
+
+def test_poly_numerators_follow_the_named_order():
+    p = Fraction(1, 6) * X * Y ** 2 - Fraction(2, 3) * Y
+    assert poly_numerators(p, "X", "Y") == ({(1, 2): 1, (0, 1): -4}, 6)
+    assert poly_numerators(p, "Y", "X") == ({(2, 1): 1, (1, 0): -4}, 6)
+    assert poly_numerators(2 - 5 * X, "X") == ({0: 2, 1: -5}, 1)
+
+
+def test_poly_numerators_of_zero():
+    assert poly_numerators(MultiPoly.zero(), "E", "V") == ({}, 1)
+    assert poly_numerators(MultiPoly.zero(), "u") == ({}, 1)
+
+
+def test_poly_numerators_rejects_an_unnamed_variable():
+    with pytest.raises(ValueError, match=r"\['V', 'Y'\]"):
+        poly_numerators(X + Y * V, "X", "E")
+    with pytest.raises(ValueError, match=r"\['X'\]"):
+        poly_numerators(Fraction(1, 2) * X * V, "E", "V")
 
 
 def test_poly_from_counts_takes_exact_rationals_only():

@@ -111,6 +111,17 @@ def test_compute_output_bytes_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv,digest", [
+    # the MAX_ORDER path of the Laplace verifier: its truncation weights reach 51!
+    (("verify", "--theorem", "laplace", "--order", str(MAX_ORDER), "--format", "json"),
+     "d5e05af43b4447abfdb26e6bd11a0cbda7acaabc372e38b79c4ce3e8c49d25c3"),
+], ids=["laplace-max-order-json"])
+def test_verify_output_bytes_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_compute_parse_error_exit_code(capsys):
     code, out, err = run(capsys, "compute", "--arbor", "{1}({2},{2})",
                          "--invariant", "volume")

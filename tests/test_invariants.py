@@ -9,7 +9,7 @@ from operator import mul
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from arborium.algebra import MultiPoly, binom_poly, laplace_laurent
+from arborium.algebra import MultiPoly, binom_poly, laplace_laurent, poly_from_counts
 from arborium.arbor import (
     Arbor, make_tn, parse_arbor, random_arbor, random_corpus, serialize_arbor)
 from arborium.invariants import (
@@ -25,10 +25,11 @@ from arborium.invariants import (
     volume,
     zeta_poly,
 )
-from arborium import oracle
+from arborium import invariants, oracle
+from arborium.cli import main
 from fan_forms import (
     ehrhart_tn_alternating, gens, height_distribution_oracle, int_binom, k_poly_by_lists,
-    k_tn_closed, m_tn_closed, zeta_tn_closed)
+    k_tn_closed, m_tn_closed, truncate_laplace_by_fractions, zeta_tn_closed)
 
 u, X, Y, E, V, s = gens()
 
@@ -280,6 +281,45 @@ def test_truncate_laplace_linear_and_idempotent():
         assert split == once
 
 
+@st.composite
+def transforms(draw):
+    """(p, n): a polynomial in E and V with V-degrees 1..6 and E-degrees
+    0..n+2, and negative or non-integer coefficients, for n = 1..8."""
+    n = draw(st.integers(1, 8))
+    monomials = st.tuples(st.integers(0, n + 2), st.integers(1, 6))
+    coeffs = st.fractions(-20, 20, max_denominator=12)
+    return poly_from_counts(draw(st.dictionaries(monomials, coeffs, max_size=8)), "E", "V"), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(transforms())
+@example((Fraction(-5, 6) * V ** 6 * E - Fraction(3, 4) * V ** 2 * E ** 10, 8))
+@example((Fraction(1, 3) * V, 1))
+@example((MultiPoly.zero(), 4))
+def test_truncate_laplace_matches_the_fraction_form(case):
+    p, n = case
+    assert truncate_laplace(p, n) == truncate_laplace_by_fractions(p, n)
+
+
+def test_truncate_laplace_makes_no_fraction():
+    p = Fraction(-7, 6) * V ** 4 * E - Fraction(2, 9) * V ** 2 + 3 * V * E ** 2
+    expected = truncate_laplace_by_fractions(p, 3)
+    made = []
+    original = Fraction.__dict__["__new__"]
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return original.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counting)
+    try:
+        result = truncate_laplace(p, 3)
+    finally:
+        Fraction.__new__ = original
+    assert made == []
+    assert result == expected
+
+
 def test_laplace_cuts_once_per_vertex():
     # Reference: the fold that also cut the vertex's own V^r at n before
     # multiplying in the children.
@@ -366,6 +406,33 @@ def test_recursions_against_oracles_spot():
         assert zeta_poly(t) == oracle.zeta_oracle(P), serialize_arbor(t)
         assert k_poly(t) == oracle.k_oracle(P), serialize_arbor(t)
         assert m_triangle(t) == oracle.m_triangle_oracle(P), serialize_arbor(t)
+
+
+def test_compute_runs_each_fold_once(monkeypatch):
+    # m is read off k and volume off laplace: wrap every binding of the two
+    # folds, the module's and the by-name table's, and count the calls
+    calls = {"k_poly": 0, "laplace": 0}
+    for name in calls:
+        original = getattr(invariants, name)
+
+        def counted(t, name=name, original=original):
+            calls[name] += 1
+            return original(t)
+
+        monkeypatch.setattr(invariants, name, counted)
+        for key, fn in invariants._INVARIANTS.items():
+            if fn is original:
+                monkeypatch.setitem(invariants._INVARIANTS, key, counted)
+    assert main(["compute", "--tn", "5", "--format", "json"]) == 0
+    assert calls == {"k_poly": 1, "laplace": 1}
+    t = make_tn(5)
+    for names in (("m", "k"), ("volume", "laplace"), ("m",), ("volume",), ("k", "m", "k")):
+        calls.update(k_poly=0, laplace=0)
+        values = compute_invariants(t, names)
+        assert list(values) == list(dict.fromkeys(names))
+        assert sum(calls.values()) == 1, names
+    values = compute_invariants(t, ("volume", "m", "laplace", "k"))
+    assert values["m"] == m_triangle(t) and values["volume"] == volume(t)
 
 
 def test_compute_invariants_bundle():

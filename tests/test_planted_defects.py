@@ -14,7 +14,8 @@ from math import comb
 import pytest
 
 from arborium import invariants
-from arborium.algebra import Kronecker, binom_poly, poly_counts, poly_from_counts, series_mul
+from arborium.algebra import (
+    Kronecker, binom_poly, poly_counts, poly_from_counts, poly_numerators, series_mul)
 from arborium.arbor import parse_arbor
 from arborium.crosscheck import corpus_check, cross_check
 from fan_forms import gens, int_binom
@@ -64,6 +65,26 @@ def k_poly_with_an_x2y_term(t, k_poly=invariants.k_poly):
     return k_poly(t) + X ** 2 * Y
 
 
+def truncate_laplace_weight_one_factorial_down(p, n):
+    # weight F/(k-j+1)! in place of F/(k-j)! on the correction to V^(j+1) E^n,
+    # with F = (K+1)! so that every weight stays an integer
+    nums, den = poly_numerators(p, "E", "V")
+    top = max((vdeg for _, vdeg in nums), default=1)
+    weights = [1] * (top + 1)  # weights[i] = F/i!, for i = 0..K+1
+    for i in range(top, 0, -1):
+        weights[i - 1] = weights[i] * i
+    out: dict = {}
+    for (edeg, vdeg), c in nums.items():
+        if edeg >= n:
+            continue
+        out[edeg, vdeg] = c * weights[0]
+        k, dist, power = vdeg - 1, n - edeg, c
+        for j in range(k, -1, -1):
+            out[n, j + 1] = out.get((n, j + 1), 0) - power * weights[k - j + 1]
+            power *= dist
+    return poly_from_counts(out, "E", "V").exact_div(den * weights[0])
+
+
 def volume_doubled(t, volume=invariants.volume):
     # twice the v^0 Laurent coefficient of the Laplace transform
     return 2 * volume(t)
@@ -76,6 +97,7 @@ PLANTED = [
     ("Kronecker", kronecker_one_byte_fields, "k vs point census"),
     ("m_from_k", m_from_k_sign_flip, "m vs moebius oracle"),
     ("k_poly", k_poly_with_an_x2y_term, "m vs moebius oracle"),
+    ("truncate_laplace", truncate_laplace_weight_one_factorial_down, "laplace entire"),
     ("volume", volume_doubled, "volume vs ehrhart leading"),
 ]
 
