@@ -24,10 +24,16 @@ poly_counts, and write them through poly_from_counts; poly_to_terms writes
 the CLI's JSON term list, which nothing reads back, and the terms view is
 for tests and tools.
 
+_key is the one packer of exponents into a key, called by variable, the
+terms view and poly_from_counts (so the constructor too).  _numerators is
+the one coercion of an int, a Fraction or a MultiPoly into ({key:
+numerator}, denominator), called by const, addition, equality, exact_div,
+poly_from_counts and interpolation; an int sum and a scalar product skip it.
+
 Newton interpolation, the Laurent window and census polynomials from int
 counts work on these integer numerators over one denominator as well: they
 build no Fraction per term and no intermediate MultiPoly, and canonicalise
-once at the end.  poly_from_counts packs only the named fields of each key.
+once at the end.
 
 Series of non-negative int counts, such as a lattice-point census, can skip
 the polynomials altogether: Kronecker packs such a list into one int with a
@@ -63,25 +69,18 @@ class InterpolationError(ValueError):
     """Over-determined interpolation samples are inconsistent with the degree bound."""
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
-
-
-def _pack(exps) -> int:
-    """Key of the monomial with exponent tuple exps (one slot per variable)."""
-    exps = tuple(exps)
-    if len(exps) != _NVARS:
-        raise ValueError(f"expected {_NVARS} exponents, got {len(exps)}")
+def _key(shifts, exps) -> int:
+    """The one packer: the key of the monomial with exponent exps[i] in the
+    variable whose field starts at bit shifts[i] and 0 in the others.
+    ValueError for a negative exponent or a length other than len(shifts),
+    OverflowError for a total degree of DEGREE_LIMIT or more."""
     key = total = 0
-    for e in exps:
+    for shift, e in zip(shifts, exps, strict=True):
         e = index(e)
         if e < 0:
-            raise ValueError(f"negative exponent in {exps}")
-        key = (key << _FIELD_BITS) | e
+            full = dict(zip(shifts, exps))
+            raise ValueError(f"negative exponent in {tuple(full.get(at, 0) for at in _SHIFTS)}")
+        key += e << shift
         total += e
     if total >= DEGREE_LIMIT:
         raise OverflowError(f"total degree {total} reaches the limit {DEGREE_LIMIT}")
@@ -110,11 +109,17 @@ def _reduced(nums: dict, den: int) -> "MultiPoly":
     return _new(nums, den)
 
 
-def _from_fractions(coeffs: dict) -> "MultiPoly":
-    """Canonical polynomial from {key: exact rational}, zero entries dropped."""
-    coeffs = {k: c for k, c in coeffs.items() if c}
-    den = lcm(*(c.denominator for c in coeffs.values()))
-    return _reduced({k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}, den)
+def _numerators(y, polynomial=True) -> tuple:
+    """The one coercion: ({key: numerator}, denominator) of an int, a
+    Fraction or, if polynomial, a MultiPoly, whose own terms these are; zero
+    gives ({}, 1).  Raises TypeError for any other value."""
+    if type(y) is int:
+        return ({0: y} if y else {}), 1
+    if polynomial and isinstance(y, MultiPoly):
+        return y._nums, y._den
+    if not isinstance(y, (int, Fraction)):
+        raise TypeError(f"expected an exact rational, got {type(y).__name__}")
+    return ({0: y.numerator} if y else {}), y.denominator
 
 
 class _Terms(Mapping):
@@ -133,7 +138,7 @@ class _Terms(Mapping):
 
     def __getitem__(self, exps):
         try:
-            key = _pack(exps)
+            key = _key(_SHIFTS, exps)
         except (TypeError, ValueError, OverflowError):
             raise KeyError(exps) from None
         return Fraction(self._poly._nums[key], self._poly._den)
@@ -153,10 +158,11 @@ class MultiPoly:
         p = poly_from_counts(terms or {}, *VARIABLES)
         self._nums, self._den = p._nums, p._den
 
-    # perfbench/tracing.py counts a product's term pairs by len(p.terms), so
-    # the view stays although library code reads terms through poly_counts.
+    # Library code reads terms through poly_numerators; the view stays for the
+    # tests and for perfbench/tracing.py, which counts a product's term pairs
+    # by len(p.terms).
     terms = property(_Terms, doc="Read-only {exponent tuple: Fraction} view of the terms, "
-                                 "for tests and tools; library code uses poly_counts.")
+                                 "for tests and tools; library code uses poly_numerators.")
 
     # -- constructors ----------------------------------------------------
 
@@ -166,14 +172,11 @@ class MultiPoly:
 
     @classmethod
     def const(cls, value) -> "MultiPoly":
-        if type(value) is int:
-            return _new({0: value} if value else {}, 1)
-        c = _frac(value)
-        return _new({0: c.numerator} if c else {}, c.denominator)
+        return _new(*_numerators(value, polynomial=False))
 
     @classmethod
     def variable(cls, name: str) -> "MultiPoly":
-        return _new({(1 << _DEG_SHIFT) | (1 << _SHIFTS[_VAR_INDEX[name]]): 1}, 1)
+        return _new({_key((_SHIFTS[_VAR_INDEX[name]],), (1,)): 1}, 1)
 
     # -- ring operations --------------------------------------------------
 
@@ -192,27 +195,28 @@ class MultiPoly:
         return _new({k: c * num for k, c in nums.items()}, den * (self._den // g))
 
     def _add(self, other, sign: int):
-        """self + sign*other for other a MultiPoly, int or Fraction."""
-        if type(other) is not MultiPoly:
-            if isinstance(other, int):
-                if not other:
-                    return self
-                nums = dict(self._nums)
-                c = nums.get(0, 0) + sign * other * self._den
-                if c:
-                    nums[0] = c
-                else:
-                    del nums[0]
-                return _new(nums, self._den)
-            if isinstance(other, Fraction):
-                other = MultiPoly.const(other)
-            elif not isinstance(other, MultiPoly):
-                return NotImplemented
-        if not other._nums:
+        """self + sign*other for other a MultiPoly, int or Fraction; only a Fraction is coerced."""
+        if type(other) is MultiPoly:
+            b, db = other._nums, other._den
+        elif isinstance(other, int):
+            if not other:
+                return self
+            nums = dict(self._nums)
+            c = nums.get(0, 0) + sign * other * self._den
+            if c:
+                nums[0] = c
+            else:
+                del nums[0]
+            return _new(nums, self._den)
+        elif isinstance(other, Fraction):
+            b, db = _numerators(other)
+        else:
+            return NotImplemented
+        if not b:
             return self
         if not self._nums:
-            return other if sign == 1 else -other
-        da, db = self._den, other._den
+            return _new(b if sign == 1 else {k: -c for k, c in b.items()}, db)
+        da = self._den
         if da == db:
             nums = dict(self._nums)
             scale = sign
@@ -223,7 +227,7 @@ class MultiPoly:
             scale = sign * (den // db)
             da = den
         get = nums.get
-        for k, c in other._nums.items():
+        for k, c in b.items():
             c = get(k, 0) + c * scale
             if c:
                 nums[k] = c
@@ -290,14 +294,15 @@ class MultiPoly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(other)
-        elif not isinstance(other, MultiPoly):
+        if not isinstance(other, (MultiPoly, int, Fraction)):
             return NotImplemented
-        return self._den == other._den and self._nums == other._nums
+        return (self._nums, self._den) == _numerators(other)
 
     def __hash__(self):
-        return hash((frozenset(self._nums.items()), self._den))
+        nums = self._nums
+        if nums.keys() <= {0}:  # a constant hashes as the number it equals
+            return hash(Fraction(nums.get(0, 0), self._den))
+        return hash((frozenset(nums.items()), self._den))
 
     def is_zero(self) -> bool:
         return not self._nums
@@ -333,10 +338,8 @@ class MultiPoly:
         return self.coeffs_in(var).get(k, MultiPoly.zero())
 
     def constant_value(self) -> Fraction:
-        if not self._nums:
-            return Fraction(0)
-        if len(self._nums) == 1 and 0 in self._nums:
-            return Fraction(self._nums[0], self._den)
+        if self._nums.keys() <= {0}:
+            return Fraction(self._nums.get(0, 0), self._den)
         raise ValueError(f"polynomial is not constant: {self}")
 
     # -- division by a constant and substitution ---------------------------
@@ -348,13 +351,13 @@ class MultiPoly:
         Raises TypeError for any other value, ValueError for a polynomial
         that is not constant and ZeroDivisionError for zero.
         """
-        d = divisor if isinstance(divisor, MultiPoly) else MultiPoly.const(divisor)
-        if d._nums.keys() - {0}:
+        nums, den = _numerators(divisor)
+        if nums.keys() - {0}:
             raise ValueError(f"divisor ({divisor}) is not a constant")
-        if not d._nums:
+        if not nums:
             raise ZeroDivisionError("polynomial division by zero")
-        num = d._nums[0]
-        return self._scale(d._den * (-1 if num < 0 else 1), abs(num))
+        num = nums[0]
+        return self._scale(den * (-1 if num < 0 else 1), abs(num))
 
     def subs(self, mapping) -> "MultiPoly":
         """Simultaneous substitution of variables by exact rationals.
@@ -423,42 +426,23 @@ def poly_from_counts(counts, *names) -> MultiPoly:
     A key is one exponent when one variable is named, else a tuple with one
     exponent per name; a count is an int or a Fraction, and zero counts are
     dropped.  When every count is an int they are the numerators over
-    denominator 1 as they stand; otherwise each becomes a Fraction and they
-    go over the lcm of the denominators.  Only the named fields of a key are
-    packed: a negative exponent raises ValueError and a total degree of
-    DEGREE_LIMIT or more raises OverflowError, as MultiPoly keys require.
-    poly_counts is the inverse.
+    denominator 1 as they stand; otherwise they go over the lcm of the
+    denominators.  _key packs the named fields of each key, with its
+    ValueError and OverflowError.  poly_counts is the inverse.
     """
     shifts = [_SHIFTS[_VAR_INDEX[name]] for name in names]
     single = len(shifts) == 1
-    nums = {}
-    rational = False
-    for key, c in counts.items():
-        exps = (key,) if single else key
-        packed = total = 0
-        for shift, e in zip(shifts, exps, strict=True):
-            e = index(e)
-            if e < 0:
-                raise ValueError(f"negative exponent in {_exponent_tuple(names, exps)}")
-            packed += e << shift
-            total += e
-        if total >= DEGREE_LIMIT:
-            raise OverflowError(f"total degree {total} reaches the limit {DEGREE_LIMIT}")
+    nums, dens = {}, {}  # dens: the denominators of the counts that are not ints
+    for e, c in counts.items():
+        key = _key(shifts, (e,) if single else e)
         if type(c) is not int:
-            c = _frac(c)
-            rational = True
-        nums[(total << _DEG_SHIFT) | packed] = c
-    if rational:
-        return _from_fractions(nums)
-    return _new({k: c for k, c in nums.items() if c}, 1)
-
-
-def _exponent_tuple(names, exps) -> tuple:
-    """The full exponent tuple of a key, for error messages."""
-    full = [0] * _NVARS
-    for name, e in zip(names, exps):
-        full[_VAR_INDEX[name]] = e
-    return tuple(full)
+            const, dens[key] = _numerators(c, polynomial=False)
+            c = const.get(0, 0)
+        nums[key] = c
+    if not dens:
+        return _new({k: c for k, c in nums.items() if c}, 1)
+    den = lcm(*dens.values())
+    return _reduced({k: c * (den // dens.get(k, 1)) for k, c in nums.items() if c}, den)
 
 
 def _check_variables(p: MultiPoly, names) -> None:
@@ -652,15 +636,6 @@ def laplace_laurent(p: MultiPoly, order: int) -> dict:
 
 
 # -- exact interpolation at consecutive integers -------------------------------
-
-def _numerators(y) -> tuple:
-    """({key: numerator}, denominator) of a polynomial, Fraction or int."""
-    if isinstance(y, MultiPoly):
-        return y._nums, y._den
-    if type(y) is not int:
-        y = _frac(y)
-    return ({0: y.numerator} if y else {}), y.denominator
-
 
 def lagrange_interpolate(samples, degree: int | None = None) -> MultiPoly:
     """Interpolating polynomial in u through (x, y) samples at consecutive

@@ -1,7 +1,7 @@
 """Reference forms that only the tests use: the generators, the integer
 binomial, the list fold of K, the Laplace truncation in Fraction arithmetic,
-the height census of a dilate by enumeration, and closed forms of the fan
-family t_n."""
+the height census of a dilate by enumeration, closed forms of the fan
+family t_n, and the identities that tie the invariants together."""
 
 from collections import Counter
 from fractions import Fraction
@@ -10,6 +10,7 @@ from math import factorial
 
 from arborium.algebra import (
     VARIABLES, MultiPoly, binom_poly, poly_counts, poly_from_counts, series_mul)
+from arborium import invariants
 from arborium.oracle import enumerate_points
 
 
@@ -139,3 +140,31 @@ def ehrhart_tn_alternating(n: int) -> MultiPoly:
         sign = -1 if j % 2 else 1
         acc = acc + sign * int_binom(n - 1, j) * binom_poly((n - j) * (_U + 1), n)
     return acc
+
+
+def identity_failures(t) -> list:
+    """The names of the identities that the invariants of t break, of four
+    that hold on every arbor and need no poset (Stanley EC1 Prop. 3.12.1(c),
+    applied to each interval [0, b] of the point set):
+
+    Z(0, X) = M(0, X), Z(1, X) = 1, Z(2, X) = K(1, X), and K(1, Y) is the
+    sum over h of ehrhart_heights(t, 1)[h] * Y^h.
+
+    The invariants are read off the invariants module by attribute, so a
+    mutant patched into it is the one checked.
+    """
+    zeta, k = invariants.zeta_poly(t), invariants.k_poly(t)
+    k_at_1 = poly_counts(k.subs({"X": 1}), "Y")
+
+    def zeta_at(m):
+        return poly_counts(zeta.subs({"u": m}), "X")
+
+    heights = invariants.ehrhart_heights(t, 1)
+    held = {
+        "Z(0, X) = M(0, X)":
+            zeta_at(0) == poly_counts(invariants.m_triangle(t).subs({"X": 0}), "Y"),
+        "Z(1, X) = 1": zeta_at(1) == {0: 1},
+        "Z(2, X) = K(1, X)": zeta_at(2) == k_at_1,
+        "K(1, Y) = ehrhart heights": k_at_1 == {h: c for h, c in enumerate(heights) if c},
+    }
+    return [name for name, ok in held.items() if not ok]

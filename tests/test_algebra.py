@@ -14,7 +14,6 @@ from arborium.algebra import (
     InterpolationError,
     Kronecker,
     MultiPoly,
-    _pack,
     binom_poly,
     lagrange_interpolate,
     laplace_laurent,
@@ -527,10 +526,9 @@ def test_poly_from_counts_takes_exact_rationals_only():
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_poly_from_counts_packs_keys_as_the_general_pack(data):
-    # The old path set the named slots of a six-exponent tuple and packed it
-    # with _pack, which raised ValueError on a negative exponent and
-    # OverflowError at a total degree of DEGREE_LIMIT; the named-slot path
-    # must build the same terms and raise the same errors.
+    # Each key sets the named slots of a six-exponent tuple, and the terms
+    # are those tuples; the first key in order with a negative exponent, or
+    # else with a total degree of DEGREE_LIMIT or more, raises instead.
     names = data.draw(st.lists(st.sampled_from(VARIABLES), min_size=1, unique=True))
     exps = (st.integers(0, 3) | st.integers(-2, 2) | st.integers(0, DEGREE_LIMIT + 1)
             | st.sampled_from([DEGREE_LIMIT - 1, DEGREE_LIMIT, DEGREE_LIMIT // 2]))
@@ -538,16 +536,19 @@ def test_poly_from_counts_packs_keys_as_the_general_pack(data):
     count = st.integers(-9, 9) | st.fractions(-9, 9, max_denominator=6)
     counts = data.draw(st.dictionaries(key, count, max_size=6))
     expected, error = {}, None
-    try:
-        for k, c in counts.items():
-            full = [0] * len(VARIABLES)
-            for name, e in zip(names, k if len(names) > 1 else (k,), strict=True):
-                full[VARIABLES.index(name)] = e
-            _pack(full)
-            if c:
-                expected[tuple(full)] = Fraction(c)
-    except (ValueError, OverflowError) as exc:
-        error = exc
+    for k, c in counts.items():
+        full = [0] * len(VARIABLES)
+        for name, e in zip(names, k if len(names) > 1 else (k,), strict=True):
+            full[VARIABLES.index(name)] = e
+        full = tuple(full)
+        if min(full) < 0:
+            error = ValueError(f"negative exponent in {full}")
+            break
+        if sum(full) >= DEGREE_LIMIT:
+            error = OverflowError(f"total degree {sum(full)} reaches the limit {DEGREE_LIMIT}")
+            break
+        if c:
+            expected[full] = Fraction(c)
     if error is None:
         assert dict(poly_from_counts(counts, *names).terms) == expected
     else:
@@ -609,6 +610,47 @@ def test_one_polynomial_built_two_ways_has_one_representation():
     d = X ** 2 * Fraction(1, 2) - Fraction(1, 2)
     assert c == d and hash(c) == hash(d) and str(c) == str(d) == "-1/2 + 1/2*X^2"
     assert (c + Fraction(1, 2)) * 2 == X ** 2 and hash((c + Fraction(1, 2)) * 2) == hash(X ** 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 1), st.integers(0, 1)), _rationals, max_size=2),
+       _rationals, st.sampled_from(["number", "constant term", "int constant term"]))
+@example({}, Fraction(0), "int constant term")
+@example({(0, 0): 3}, Fraction(3), "int constant term")
+@example({(0, 0): 3}, Fraction(3), "number")
+@example({(0, 0): Fraction(1, 2)}, Fraction(1), "constant term")
+@example({(0, 0): 1, (1, 0): 1}, Fraction(1), "number")
+def test_a_polynomial_equal_to_a_number_hashes_as_it(counts, number, pick):
+    # b is an int or a Fraction; so MultiPoly.const(3) and 3 are one set member
+    a = poly_from_counts(counts, "X", "Y")
+    b = number if pick == "number" else poly_counts(a, "X", "Y").get((0, 0), Fraction(0))
+    if pick == "int constant term" and b.denominator == 1:
+        b = int(b)
+    assert (a == b) == (b == a) == (a.variables_used() == set() and a.constant_value() == b)
+    if a == b:
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1 and b in {a} and a in {b}
+
+
+def test_the_number_coercion_takes_exact_rationals_only():
+    for value in (0.5, 1.0, "1", None):
+        refused = f"expected an exact rational, got {type(value).__name__}"
+        with pytest.raises(TypeError, match=refused):
+            MultiPoly.const(value)
+        with pytest.raises(TypeError, match="expected an exact rational"):
+            X.exact_div(value)
+        with pytest.raises(TypeError, match="expected an exact rational"):
+            poly_from_counts({0: 1, 1: value}, "X")
+        with pytest.raises(TypeError):
+            X + value
+        assert X != value
+    for poly in (X, MultiPoly.const(2)):  # a polynomial is no constant or count
+        with pytest.raises(TypeError, match="got MultiPoly"):
+            MultiPoly.const(poly)
+        with pytest.raises(TypeError, match="got MultiPoly"):
+            poly_from_counts({0: poly}, "X")
+    assert MultiPoly.const(True) == 1 and MultiPoly.const(Fraction(0)) == MultiPoly.zero()
+    assert X.exact_div(MultiPoly.const(2)) == X * Fraction(1, 2)
 
 
 def test_terms_is_a_read_only_view():

@@ -28,8 +28,8 @@ from arborium.invariants import (
 from arborium import invariants, oracle
 from arborium.cli import main
 from fan_forms import (
-    ehrhart_tn_alternating, gens, height_distribution_oracle, int_binom, k_poly_by_lists,
-    k_tn_closed, m_tn_closed, truncate_laplace_by_fractions, zeta_tn_closed)
+    ehrhart_tn_alternating, gens, height_distribution_oracle, identity_failures, int_binom,
+    k_poly_by_lists, k_tn_closed, m_tn_closed, truncate_laplace_by_fractions, zeta_tn_closed)
 
 u, X, Y, E, V, s = gens()
 
@@ -171,6 +171,12 @@ def test_ehrhart_closed_forms_agree():
     assert ehrhart_tn_alternating(2) == 1 + Fraction(5, 2) * u + Fraction(3, 2) * u ** 2
     for n in range(1, 11):
         assert ehrhart_tn_alternating(n) == ehrhart_tn_closed(n)
+
+
+def test_ehrhart_fan_family_matches_the_closed_form():
+    # verify reads only ehrhart_tn_closed, so the recursion meets it here
+    for n in range(1, 17):
+        assert ehrhart(make_tn(n)) == ehrhart_tn_closed(n), n
 
 
 def test_ehrhart_structure():
@@ -373,6 +379,14 @@ def test_point_count_identities():
         assert zeta_poly(t).subs({"u": 2, "X": 1}).constant_value() == n_points
         assert k_poly(t).subs({"X": 1, "Y": 1}).constant_value() == n_points
         assert ehrhart(t).subs({"u": 1}).constant_value() == n_points
+
+
+def test_invariants_keep_the_cross_invariant_identities():
+    arbors = (random_corpus(20260809) + [parse_arbor("{1,2}({3}({6,7},{8}),{4,5})")]
+              + random_corpus(7, per_size=10) + [make_tn(n) for n in range(1, 25)])
+    assert len(arbors) == 109
+    broken = [(serialize_arbor(t), identity_failures(t)) for t in arbors]
+    assert [row for row in broken if row[1]] == []
 
 
 def test_child_order_independence():

@@ -19,6 +19,12 @@ Two keep numpy off the verify and compute paths, with one place that loads it:
 * only oracle.py imports numpy, and only at module level;
 * cli.py imports crosscheck (and so oracle) only inside a function.
 
+One keeps the polynomial representation in the kernel:
+
+* no module but algebra.py reads or writes a ._nums or ._den attribute, so
+  other modules reach a MultiPoly's terms through poly_numerators and
+  poly_from_counts.
+
 And one keeps the package to what the program runs:
 
 * every public module-level definition is referenced from another place in
@@ -161,6 +167,38 @@ def import_placement_faults(name, source):
     return faults
 
 
+def representation_faults(name, source):
+    """Every access to a ._nums or ._den attribute in the source of package
+    module name, unless name is algebra."""
+    if name == "algebra":
+        return []
+    return [f"{name}:{node.lineno} {'reads' if isinstance(node.ctx, ast.Load) else 'writes'} "
+            f".{node.attr}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr in ("_nums", "_den")]
+
+
+def test_the_polynomial_representation_stays_in_the_kernel():
+    faults = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        faults += representation_faults(path.stem, path.read_text())
+    assert faults == []
+
+
+def test_the_check_sees_representation_faults():
+    source = """
+from .algebra import poly_numerators
+
+def scale(p, q):
+    nums, den = poly_numerators(p, "X")
+    q._den = den
+    return p._nums, len(q.terms._poly._nums), nums, q.den, q._numerators
+"""
+    assert sorted(representation_faults("invariants", source)) == [
+        "invariants:6 writes ._den", "invariants:7 reads ._nums", "invariants:7 reads ._nums"]
+    assert representation_faults("algebra", source) == []
+
+
 def test_the_package_keeps_its_layering():
     faults = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -171,7 +209,7 @@ def test_the_package_keeps_its_layering():
 def test_the_check_sees_layering_faults():
     oracle_source = """
 from collections import Counter
-from .algebra import MultiPoly, _pack
+from .algebra import MultiPoly, _key
 from .invariants import k_poly
 from . import verify as v
 import arborium.cli as front
@@ -180,7 +218,7 @@ def census(window):
     return v._helper(window), front.main, MultiPoly.__name__
 """
     assert sorted(layering_faults("oracle", oracle_source)) == [
-        "oracle:3 imports algebra._pack", "oracle:4 imports from invariants",
+        "oracle:3 imports algebra._key", "oracle:4 imports from invariants",
         "oracle:5 imports from verify", "oracle:6 imports from cli",
         "oracle:9 reads verify._helper"]
     crosscheck_source = """

@@ -6,6 +6,9 @@ arbors per size) plus the figure arbor.  The brute-force check of the
 mutated invariant must FAIL, and no exception may escape: a defect in a
 recursion is a failed check, never a crash.  A mutant that passed it would
 mean that oracle is not independent of the recursion it checks.
+
+Three of the mutants must also break a cross-invariant identity on every
+fan t_14..t_24, past crosscheck.MAX_POINTS, where no oracle reaches.
 """
 
 from functools import reduce
@@ -16,9 +19,9 @@ import pytest
 from arborium import invariants
 from arborium.algebra import (
     Kronecker, binom_poly, poly_counts, poly_from_counts, poly_numerators, series_mul)
-from arborium.arbor import parse_arbor
-from arborium.crosscheck import corpus_check, cross_check
-from fan_forms import gens, int_binom
+from arborium.arbor import make_tn, parse_arbor
+from arborium.crosscheck import PointLimitError, check_point_limit, corpus_check, cross_check
+from fan_forms import gens, identity_failures, int_binom
 
 u, X, Y, E, V, s = gens()
 
@@ -109,3 +112,22 @@ def test_planted_defect_fails_an_oracle_check(monkeypatch, name, mutant, oracle_
     outcomes = corpus_check(20260809) + cross_check(parse_arbor(FIGURE))
     failed = {o.name for o in outcomes if not o.passed}
     assert oracle_check in failed, (name, sorted(failed))
+
+
+IDENTITY_PLANTED = [
+    ("_zeta_step", zeta_step_base_off_by_one),
+    ("Kronecker", kronecker_one_byte_fields),
+    ("m_from_k", m_from_k_sign_flip),
+]
+
+
+@pytest.mark.parametrize("name,mutant", IDENTITY_PLANTED,
+                         ids=[row[1].__name__ for row in IDENTITY_PLANTED])
+def test_planted_defect_breaks_an_identity_past_the_oracles(monkeypatch, name, mutant):
+    fans = [make_tn(n) for n in range(14, 25)]
+    for t in fans:
+        with pytest.raises(PointLimitError):  # cross_check refuses it
+            check_point_limit(t)
+    assert [t.size for t in fans if identity_failures(t)] == []
+    monkeypatch.setattr(invariants, name, mutant)
+    assert [t.size for t in fans if not identity_failures(t)] == []
